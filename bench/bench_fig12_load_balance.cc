@@ -14,13 +14,17 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_json.h"
 #include "core/engine_backend.h"
+#include "core/partitioned_engine.h"
 #include "data/relational_data.h"
 #include "index/index_builder.h"
+#include "index/shard.h"
 #include "index/vocabulary.h"
 #include "sim/device_set.h"
 
@@ -173,7 +177,10 @@ const SkewedWorkload& SkewedVolumeWorkload() {
 /// Planned (volume-balanced) vs uniform (object-range) sharding of the
 /// skewed dataset over 4 devices: the counters report the per-device match
 /// seconds spread (max-min)/max — the planner's boundaries should keep it
-/// no worse than the uniform split's.
+/// no worse than the uniform split's. The planned arm is the backend's
+/// multi-device tier; the uniform arm shards by object range and keeps the
+/// parts resident round-robin through a PartitionedEngine on the same kind
+/// of device set.
 void BM_SkewedShards(benchmark::State& state, bool planned) {
   const SkewedWorkload& w = SkewedVolumeWorkload();
   sim::DeviceSet::Options set_options;
@@ -186,20 +193,38 @@ void BM_SkewedShards(benchmark::State& state, bool planned) {
   MatchEngineOptions options;
   options.k = 8;
   options.max_count = w.max_count;
-  EngineBackendOptions backend_options;
-  backend_options.device_set = devices->get();
-  backend_options.use_planner = planned;
-  auto backend = EngineBackend::Create(&w.index, options, backend_options);
-  GENIE_CHECK(backend.ok());
+  std::unique_ptr<EngineBackend> backend;
+  ShardedIndex uniform;
+  std::unique_ptr<PartitionedEngine> engine;
+  if (planned) {
+    EngineBackendOptions backend_options;
+    backend_options.device_set = devices->get();
+    auto created = EngineBackend::Create(&w.index, options, backend_options);
+    GENIE_CHECK(created.ok());
+    backend = std::move(created).ValueOrDie();
+  } else {
+    auto sharded = ShardByObjectRange(w.index, set_options.num_devices);
+    GENIE_CHECK(sharded.ok());
+    uniform = std::move(sharded).ValueOrDie();
+    std::vector<IndexPart> parts;
+    for (size_t p = 0; p < uniform.shards.size(); ++p) {
+      parts.push_back(IndexPart{&uniform.shards[p], uniform.offsets[p]});
+    }
+    auto created = PartitionedEngine::Create(parts, options, devices->get());
+    GENIE_CHECK(created.ok());
+    engine = std::move(created).ValueOrDie();
+  }
 
   std::span<const Query> batch(w.queries.data(), w.queries.size());
   for (auto _ : state) {
-    auto results = (*backend)->ExecuteBatch(batch);
+    auto results = planned ? backend->ExecuteBatch(batch)
+                           : engine->ExecuteBatch(batch);
     GENIE_CHECK(results.ok());
     benchmark::DoNotOptimize(results);
   }
 
-  const std::vector<MatchProfile> per_device = (*backend)->device_profiles();
+  const std::vector<MatchProfile> per_device =
+      planned ? backend->device_profiles() : engine->profile().per_device;
   double max_match = 0;
   double min_match = per_device.empty() ? 0 : per_device[0].match_s;
   for (const MatchProfile& p : per_device) {

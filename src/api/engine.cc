@@ -349,10 +349,6 @@ EngineConfig& EngineConfig::Devices(uint32_t n) {
   num_devices_ = n;
   return *this;
 }
-EngineConfig& EngineConfig::UsePlanner(bool use) {
-  use_planner_ = use;
-  return *this;
-}
 EngineConfig& EngineConfig::Remote(net::RemoteOptions remote) {
   remote_ = std::move(remote);
   return *this;

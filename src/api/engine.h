@@ -117,11 +117,6 @@ class EngineConfig {
   /// with Device() — or the process default — with its own worker pool and
   /// memory accounting. Results are identical for every n.
   EngineConfig& Devices(uint32_t n);
-  /// Decide tier / part boundaries / placement / chunk size through the
-  /// cost-model query planner (default true). false = the legacy
-  /// try-and-escalate decisions with uniform object-range sharding; results
-  /// are identical either way — only the schedule differs.
-  EngineConfig& UsePlanner(bool use);
   /// Scatter the index across remote worker processes (one shard per
   /// endpoint, postings-volume balanced) and answer batches by
   /// scatter-gather over the RPC protocol in src/net/. Loopback addresses
@@ -188,7 +183,6 @@ class EngineConfig {
   uint32_t max_parts() const { return max_parts_; }
   uint32_t force_parts() const { return force_parts_; }
   uint32_t num_devices() const { return num_devices_; }
-  bool use_planner() const { return use_planner_; }
   const net::RemoteOptions& remote() const { return remote_; }
 
   bool serving_enabled() const { return serving_enabled_; }
@@ -235,7 +229,6 @@ class EngineConfig {
   uint32_t max_parts_ = 256;
   uint32_t force_parts_ = 0;
   uint32_t num_devices_ = 1;
-  bool use_planner_ = true;
   net::RemoteOptions remote_;
 
   bool serving_enabled_ = false;

@@ -110,7 +110,7 @@ class Searcher {
   virtual std::string ExplainPlan() const { return "planner: unavailable"; }
 
   /// Stream chunk size the backend's ExecutionPlan recommends; 0 when no
-  /// plan is live (planner off, legacy path). Second step of SearchStream's
+  /// plan is live (an escalation replaced it). Second step of SearchStream's
   /// chunk_size = 0 fallback chain, between the modality derivation and
   /// the fixed 1024 default.
   virtual uint32_t PlannedChunkSize() const { return 0; }

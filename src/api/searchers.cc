@@ -62,7 +62,6 @@ EngineBackendOptions BackendOptions(const EngineConfig& config) {
   options.force_parts = config.force_parts();
   options.shard_build.max_list_length = config.max_list_length();
   options.num_devices = config.num_devices();
-  options.use_planner = config.use_planner();
   options.remote = config.remote();
   return options;
 }

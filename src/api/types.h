@@ -201,7 +201,7 @@ struct SearchProfile {
   uint64_t index_bytes = 0;
   uint64_t query_bytes = 0;
   uint64_t result_bytes = 0;
-  /// True when the index did not fit and MultiLoadEngine answered.
+  /// True when the index did not fit and multiple loading answered.
   bool used_multi_load = false;
   /// Index parts per batch (1 on the single-load path).
   uint32_t parts = 1;
@@ -220,8 +220,7 @@ struct SearchProfile {
   /// Coordinator-side scatter wall seconds (remote tier only).
   double scatter_seconds = 0;
   /// True when the live tier was built from a QueryPlanner ExecutionPlan
-  /// (false = legacy decision path, or the escalation safety net replaced
-  /// the plan mid-way).
+  /// (false = the escalation ladder replaced the plan mid-way).
   bool planned = false;
   /// Tier the plan named ("single-device" / "multi-device" / "multi-load";
   /// empty on searchers without a planning backend).

@@ -55,8 +55,7 @@ Result<std::vector<QueryResult>> CpuIdxEngine::ExecuteBatch(
     for (ObjectId id : touched_) {
       results[q].entries.push_back({id, counts_[id]});
     }
-    results[q].threshold =
-        results[q].entries.empty() ? 0 : results[q].entries.back().count;
+    results[q].threshold = TopKThreshold(results[q].entries, options_.k);
     // Reset the count array for the next query.
     for (uint32_t i = 0; i < query.num_items(); ++i) {
       for (Keyword kw : query.item(i)) {

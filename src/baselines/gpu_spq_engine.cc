@@ -171,8 +171,7 @@ Result<std::vector<QueryResult>> GpuSpqEngine::ExecuteBatch(
              results[q].entries.back().count == 0) {
         results[q].entries.pop_back();
       }
-      results[q].threshold =
-          results[q].entries.empty() ? 0 : results[q].entries.back().count;
+      results[q].threshold = TopKThreshold(results[q].entries, options_.k);
     }
   }
   return results;

@@ -12,8 +12,9 @@
 
 namespace genie {
 
+/// [[nodiscard]] like Status: ignoring a Result drops its error.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Implicit from value.
   Result(T value) : repr_(std::move(value)) {}  // NOLINT(google-explicit-constructor)

@@ -28,7 +28,9 @@ enum class StatusCode : uint8_t {
 const char* StatusCodeToString(StatusCode code);
 
 /// A success-or-error outcome. Cheap to copy in the OK case (no allocation).
-class Status {
+/// [[nodiscard]]: a dropped error is a compile warning (an error under
+/// GENIE_WERROR), never a silent success.
+class [[nodiscard]] Status {
  public:
   Status() = default;
   Status(StatusCode code, std::string message);

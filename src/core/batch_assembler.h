@@ -34,8 +34,7 @@ class BatchAssembler {
 
   /// Batch size for executing `queries` on `backend`: prefers the live
   /// ExecutionPlan's chunk size and falls back to the memory derivation
-  /// when no plan is live (planner off, legacy path, or the escalation
-  /// safety net replaced the plan).
+  /// when no plan is live (a batch-time escalation replaced the plan).
   static uint32_t BatchSizeFor(const EngineBackend& backend,
                                std::span<const Query> queries,
                                double memory_fraction);

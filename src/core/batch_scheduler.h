@@ -43,7 +43,7 @@ uint32_t DeriveLargeBatchSize(uint64_t capacity_bytes, uint64_t allocated_bytes,
 /// Runs `queries` through `backend` in batches. Results are in input order,
 /// exactly as a single ExecuteBatch of everything would return them. An
 /// empty query set is rejected with InvalidArgument, matching the
-/// MatchEngine / MultiLoadEngine / EngineBackend batch contract.
+/// MatchEngine / PartitionedEngine / EngineBackend batch contract.
 Result<std::vector<QueryResult>> ExecuteLargeBatch(
     EngineBackend* backend, std::span<const Query> queries,
     const LargeBatchOptions& options = {});

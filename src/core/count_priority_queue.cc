@@ -65,10 +65,8 @@ QueryResult ExtractTopK(const CpqView& cpq) {
             });
   const uint32_t k = cpq.gate().k();
   if (result.entries.size() > k) result.entries.resize(k);
-  result.threshold =
-      result.entries.size() == k ? threshold
-      : result.entries.empty()   ? 0
-                                 : result.entries.back().count;
+  // A full cut's k-th count is AT - 1 (Theorem 3.1).
+  result.threshold = TopKThreshold(result.entries, k);
   return result;
 }
 

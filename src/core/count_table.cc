@@ -25,8 +25,7 @@ QueryResult ExtractTopKFromCounts(const uint32_t* counts, uint32_t n,
   std::sort(ids.begin(), ids.end(), better);
   result.entries.reserve(ids.size());
   for (ObjectId id : ids) result.entries.push_back({id, counts[id]});
-  result.threshold =
-      result.entries.empty() ? 0 : result.entries.back().count;
+  result.threshold = TopKThreshold(result.entries, k);
   return result;
 }
 

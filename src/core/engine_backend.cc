@@ -63,6 +63,33 @@ void AccumulateRemoteProfile(RemoteProfile* into, const RemoteProfile& from) {
   }
 }
 
+std::vector<IndexPart> PartsOf(const ShardedIndex& sharded) {
+  std::vector<IndexPart> parts;
+  parts.reserve(sharded.shards.size());
+  for (size_t p = 0; p < sharded.shards.size(); ++p) {
+    parts.push_back(IndexPart{&sharded.shards[p], sharded.offsets[p]});
+  }
+  return parts;
+}
+
+/// Capacity / allocation of the least-free device of `set`: every device
+/// must hold its residency share beside the batch working memory.
+EngineBackend::BatchBudget TightestDevice(const sim::DeviceSet& set) {
+  EngineBackend::BatchBudget tightest;
+  uint64_t min_free = std::numeric_limits<uint64_t>::max();
+  for (size_t d = 0; d < set.size(); ++d) {
+    const sim::Device* dev = set.device(d);
+    const uint64_t capacity = dev->memory_capacity_bytes();
+    const uint64_t allocated = dev->allocated_bytes();
+    const uint64_t free_bytes = capacity > allocated ? capacity - allocated : 0;
+    if (free_bytes < min_free) {
+      min_free = free_bytes;
+      tightest = EngineBackend::BatchBudget{capacity, allocated};
+    }
+  }
+  return tightest;
+}
+
 }  // namespace
 
 void EngineBackend::RetireEngines() {
@@ -75,16 +102,11 @@ void EngineBackend::RetireEngines() {
     carried_profile_.Accumulate(single_->profile());
     single_.reset();
   }
-  if (multi_ != nullptr) {
-    carried_profile_.Accumulate(multi_->profile().per_part);
-    carried_merge_s_ += multi_->profile().merge_s;
-    multi_.reset();
-  }
-  if (multi_device_ != nullptr) {
-    const MultiDeviceProfile p = multi_device_->profile();
+  if (partitioned_ != nullptr) {
+    const PartitionedProfile p = partitioned_->profile();
     carried_profile_.Accumulate(p.Combined());
     carried_merge_s_ += p.merge_s;
-    multi_device_.reset();
+    partitioned_.reset();
   }
 }
 
@@ -94,64 +116,21 @@ Result<ShardedIndex> EngineBackend::ShardLocked(
     return ShardByBoundaries(*index_, boundaries,
                              backend_options_.shard_build);
   }
-  if (backend_options_.use_planner && stats_.MatchesIndex(*index_)) {
-    // Escalations re-shard through the same volume-balanced cut a re-plan
-    // would emit, so planned and escalated part layouts agree.
-    return ShardByBoundaries(*index_,
-                             plan::BalancedBoundaries(stats_, parts),
-                             backend_options_.shard_build);
-  }
-  return ShardByObjectRange(*index_, parts, backend_options_.shard_build);
+  RefreshStatsLocked();
+  return ShardByBoundaries(*index_, plan::BalancedBoundaries(stats_, parts),
+                           backend_options_.shard_build);
 }
 
-Status EngineBackend::SetUpMultiLoad(uint32_t parts,
-                                     std::span<const ObjectId> boundaries) {
-  if (parts > backend_options_.max_parts) {
+Status EngineBackend::SetUpPartitioned(plan::ExecutionPlan::Tier tier,
+                                       uint32_t parts,
+                                       std::span<const ObjectId> boundaries,
+                                       std::span<const uint32_t> placement) {
+  const bool resident = tier == plan::ExecutionPlan::Tier::kMultiDevice;
+  if (!resident && parts > backend_options_.max_parts) {
     return Status::ResourceExhausted(
         "index does not fit in device memory even at max_parts");
   }
-  // Build the replacement fully before touching the live engine, so an
-  // error here leaves the backend in its previous (still valid) state.
-  // The sharded index is shared: an in-flight staged chunk (or a Prepare
-  // racing this escalation) keeps the previous generation alive until it
-  // drains.
-  GENIE_ASSIGN_OR_RETURN(ShardedIndex sharded,
-                         ShardLocked(parts, boundaries));
-  auto shared = std::make_shared<ShardedIndex>(std::move(sharded));
-  std::vector<IndexPart> index_parts;
-  index_parts.reserve(shared->shards.size());
-  for (size_t p = 0; p < shared->shards.size(); ++p) {
-    index_parts.push_back(IndexPart{&shared->shards[p], shared->offsets[p]});
-  }
-  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<MultiLoadEngine> multi,
-                         MultiLoadEngine::Create(index_parts, options_));
-
-  // Commit: fold the retiring engine's stage costs into the carried
-  // profile, then swap. The multi-device tier is never re-established
-  // after a fallback, but an owned device registry is kept until the
-  // backend dies: staged chunks prepared against the retired tier may
-  // still hold buffers on its devices.
-  RetireEngines();
-  sharded_ = std::move(shared);
-  multi_ = std::move(multi);
-  ++generation_;
-  // Record the layout that actually went live (an escalation diverges from
-  // the plan; ApplyPlanLocked overwrites this with the planned version).
-  plan_.planned = false;
-  plan_.tier = plan::ExecutionPlan::Tier::kMultiLoad;
-  plan_.selector = options_.selector;
-  plan_.num_parts = static_cast<uint32_t>(sharded_->shards.size());
-  plan_.part_boundaries.assign(sharded_->offsets.begin(),
-                               sharded_->offsets.end());
-  plan_.part_boundaries.push_back(index_->num_objects());
-  plan_.device_of_part.clear();
-  return Status::OK();
-}
-
-Status EngineBackend::SetUpMultiDevice(uint32_t parts,
-                                       std::span<const ObjectId> boundaries,
-                                       std::span<const uint32_t> placement) {
-  if (devices_ == nullptr) {
+  if (resident && devices_ == nullptr) {
     if (backend_options_.device_set != nullptr) {
       devices_ = backend_options_.device_set;
     } else {
@@ -165,23 +144,30 @@ Status EngineBackend::SetUpMultiDevice(uint32_t parts,
       devices_ = owned_devices_.get();
     }
   }
+  // Build the replacement fully before touching the live engine, so an
+  // error here leaves the backend in its previous (still valid) state.
+  // The sharded index is shared: an in-flight staged chunk (or a Prepare
+  // racing this escalation) keeps the previous generation alive until it
+  // drains.
   GENIE_ASSIGN_OR_RETURN(ShardedIndex sharded, ShardLocked(parts, boundaries));
   auto shared = std::make_shared<ShardedIndex>(std::move(sharded));
-  std::vector<IndexPart> index_parts;
-  index_parts.reserve(shared->shards.size());
-  for (size_t p = 0; p < shared->shards.size(); ++p) {
-    index_parts.push_back(IndexPart{&shared->shards[p], shared->offsets[p]});
-  }
   GENIE_ASSIGN_OR_RETURN(
-      std::unique_ptr<MultiDeviceEngine> multi_device,
-      MultiDeviceEngine::Create(index_parts, devices_, options_, placement));
+      std::unique_ptr<PartitionedEngine> engine,
+      PartitionedEngine::Create(PartsOf(*shared), options_,
+                                resident ? devices_ : nullptr, placement));
 
+  // Commit: fold the retiring engine's stage costs into the carried
+  // profile, then swap. An owned device registry is kept until the backend
+  // dies: staged chunks prepared against a retired resident tier may still
+  // hold buffers on its devices.
   RetireEngines();
   sharded_ = std::move(shared);
-  multi_device_ = std::move(multi_device);
+  partitioned_ = std::move(engine);
   ++generation_;
+  // Record the layout that actually went live (an escalation diverges from
+  // the plan; SetUpTierLocked overwrites this with the planned version).
   plan_.planned = false;
-  plan_.tier = plan::ExecutionPlan::Tier::kMultiDevice;
+  plan_.tier = tier;
   plan_.selector = options_.selector;
   plan_.num_parts = static_cast<uint32_t>(sharded_->shards.size());
   plan_.part_boundaries.assign(sharded_->offsets.begin(),
@@ -222,7 +208,7 @@ Result<std::unique_ptr<EngineBackend>> EngineBackend::Create(
   backend->backend_options_.num_devices = num_devices;
   backend->base_k_ = effective_options.k;
 
-  if (backend_options.use_planner && backend_options.index_stats != nullptr &&
+  if (backend_options.index_stats != nullptr &&
       backend_options.index_stats->MatchesIndex(*index)) {
     // Persisted stats (a bundle's stats section): adopt them and skip the
     // stats pass entirely. The pointer is borrowed only for this copy.
@@ -237,7 +223,6 @@ Result<std::unique_ptr<EngineBackend>> EngineBackend::Create(
 }
 
 void EngineBackend::RefreshStatsLocked() {
-  if (!backend_options_.use_planner) return;
   if (stats_.MatchesIndex(*index_)) return;
   stats_ = plan::ComputeIndexStats(*index_);
   stats_persisted_ = false;
@@ -252,21 +237,9 @@ plan::PlannerInputs EngineBackend::PlannerInputsLocked() const {
     const sim::DeviceSet* set =
         devices_ != nullptr ? devices_ : backend_options_.device_set;
     if (set != nullptr) {
-      // Budget against the tightest device of the set: every device must
-      // hold its residency share beside the batch working memory.
-      uint64_t min_free = std::numeric_limits<uint64_t>::max();
-      for (size_t d = 0; d < set->size(); ++d) {
-        const sim::Device* dev = set->device(d);
-        const uint64_t capacity = dev->memory_capacity_bytes();
-        const uint64_t allocated = dev->allocated_bytes();
-        const uint64_t free_bytes =
-            capacity > allocated ? capacity - allocated : 0;
-        if (free_bytes < min_free) {
-          min_free = free_bytes;
-          inputs.capacity_bytes = capacity;
-          inputs.allocated_bytes = allocated;
-        }
-      }
+      const BatchBudget tightest = TightestDevice(*set);
+      inputs.capacity_bytes = tightest.capacity_bytes;
+      inputs.allocated_bytes = tightest.allocated_bytes;
     } else {
       // The backend will clone the base device's configuration onto fresh
       // devices, so each starts with its full capacity free.
@@ -302,10 +275,9 @@ Status EngineBackend::ApplyPlanLocked(const plan::ExecutionPlan& p) {
       return Status::OK();
     }
     case plan::ExecutionPlan::Tier::kMultiDevice:
-      return SetUpMultiDevice(p.num_parts, p.part_boundaries,
-                              p.device_of_part);
     case plan::ExecutionPlan::Tier::kMultiLoad:
-      return SetUpMultiLoad(p.num_parts, p.part_boundaries);
+      return SetUpPartitioned(p.tier, p.num_parts, p.part_boundaries,
+                              p.device_of_part);
     case plan::ExecutionPlan::Tier::kRemote:
       return SetUpRemote();
   }
@@ -320,7 +292,6 @@ Status EngineBackend::SetUpRemote() {
     remote_->UpdateOptions(options_);
     return Status::OK();
   }
-  RefreshStatsLocked();
   const uint32_t workers =
       static_cast<uint32_t>(remote.endpoints.size());
   const uint32_t parts =
@@ -330,21 +301,16 @@ Status EngineBackend::SetUpRemote() {
         "remote engine: more endpoints than objects to shard");
   }
   GENIE_ASSIGN_OR_RETURN(ShardedIndex sharded, ShardLocked(parts, {}));
-  std::vector<IndexPart> index_parts;
-  index_parts.reserve(sharded.shards.size());
-  for (size_t p = 0; p < sharded.shards.size(); ++p) {
-    index_parts.push_back(
-        IndexPart{&sharded.shards[p], sharded.offsets[p]});
-  }
   // Workers deserialize and own their shard, so the sharded copy here is
   // free to die with this scope.
-  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<RemoteEngine> engine,
-                         RemoteEngine::Create(index_parts, options_, remote));
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<RemoteEngine> engine,
+      RemoteEngine::Create(PartsOf(sharded), options_, remote));
   RetireEngines();
   remote_ = std::move(engine);
   remote_index_ = index_.get();
   ++generation_;
-  plan_.planned = backend_options_.use_planner;
+  plan_.planned = true;
   plan_.tier = plan::ExecutionPlan::Tier::kRemote;
   plan_.selector = options_.selector;
   plan_.num_parts = parts;
@@ -357,13 +323,13 @@ Status EngineBackend::SetUpRemote() {
 
 Status EngineBackend::SetUpTierLocked() {
   if (backend_options_.remote.enabled()) return SetUpRemote();
-  if (!backend_options_.use_planner) return SetUpTierLegacyLocked();
   RefreshStatsLocked();
   const plan::QueryPlanner planner(stats_);
+  Status status;
   for (int attempt = 0; attempt < 3; ++attempt) {
     plan::ExecutionPlan candidate =
         planner.Plan(PlannerInputsLocked(), cost_model_);
-    const Status status = ApplyPlanLocked(candidate);
+    status = ApplyPlanLocked(candidate);
     if (status.ok()) {
       plan_ = std::move(candidate);
       return status;
@@ -373,57 +339,40 @@ Status EngineBackend::SetUpTierLocked() {
     // margin) and re-plan against the tightened model.
     cost_model_.RecordEscalation();
   }
-  // Three tightened plans in a row still missed — the classic
-  // try-and-escalate ladder is the last-resort safety net.
-  return SetUpTierLegacyLocked();
+  // Three tightened plans in a row still missed: take the ladder's first
+  // rung, exactly as a batch-time miss would.
+  return EscalateLocked(status);
 }
 
-Status EngineBackend::SetUpTierLegacyLocked() {
-  // The legacy path runs the configured selector bit-for-bit (no planner
-  // promotion).
-  options_.selector = base_selector_;
-  // Tier selection: multi-device when N > 1 (space multiplexing), else
-  // single load, falling back to sequential multiple loading when the
-  // index (or the parts' residency) exceeds device memory.
-  if (backend_options_.num_devices > 1) {
-    const uint32_t parts =
-        std::max(backend_options_.num_devices, backend_options_.force_parts);
-    Status status = SetUpMultiDevice(parts);
-    if (status.ok()) return status;
-    if (status.code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return status;
-    }
-    // Residency exceeded a device: time-multiplex the base device instead.
-    cost_model_.RecordEscalation();
-    return SetUpMultiLoad(
-        std::max(EstimateParts(), backend_options_.force_parts));
+Status EngineBackend::EscalateLocked(const Status& status) {
+  if (status.code() != StatusCode::kResourceExhausted ||
+      !backend_options_.allow_multi_load || remote_ != nullptr) {
+    return status;
   }
-
-  if (backend_options_.force_parts > 0) {
-    return SetUpMultiLoad(backend_options_.force_parts);
+  if (MatchEngine::IsCpqOverflow(status)) {
+    // Re-plan: with the overflow recorded the planner promotes the batch to
+    // kBucketSelect, whose select stage cannot overflow — which is also
+    // what ends the caller's retry loop.
+    cost_model_.RecordCpqOverflow();
+    GENIE_RETURN_NOT_OK(SetUpTierLocked());
+    return options_.selector == MatchEngineOptions::Selector::kCpq
+               ? status
+               : Status::OK();
   }
-
-  auto single = MatchEngine::Create(index_, options_);
-  if (single.ok()) {
-    RetireEngines();
-    single_ = std::move(single).ValueOrDie();
-    ++generation_;
-    plan_.planned = false;
-    plan_.tier = plan::ExecutionPlan::Tier::kSingleDevice;
-    plan_.selector = options_.selector;
-    plan_.num_parts = 1;
-    plan_.part_boundaries.clear();
-    plan_.device_of_part.clear();
-    return Status::OK();
-  }
-  if (single.status().code() != StatusCode::kResourceExhausted ||
-      !backend_options_.allow_multi_load) {
-    return single.status();
-  }
-  // The List Array alone exceeded device memory: shard and multiple-load.
+  // Working memory (or the index) did not fit: retire the live engine —
+  // freeing its device-resident index — and time-multiplex the base
+  // device, finer each time a multi-load still misses.
   cost_model_.RecordEscalation();
-  return SetUpMultiLoad(EstimateParts());
+  if (partitioned_ == nullptr || !partitioned_->swapped()) {
+    return SetUpPartitioned(plan::ExecutionPlan::Tier::kMultiLoad,
+                            EstimateParts());
+  }
+  const uint32_t parts = NumPartsLocked();
+  if (parts >= backend_options_.max_parts || parts >= index_->num_objects()) {
+    return status;
+  }
+  return SetUpPartitioned(plan::ExecutionPlan::Tier::kMultiLoad,
+                          std::min(parts * 2, backend_options_.max_parts));
 }
 
 void EngineBackend::AttachDeltaStore(const delta::DeltaStore* store) {
@@ -469,23 +418,14 @@ void EngineBackend::ApplyDeltaOverlay(const delta::DeltaSnapshot& snap,
                                       std::vector<QueryResult>* results) {
   const auto overlay_start = std::chrono::steady_clock::now();
   // Only each query's k best delta objects can reach its merged top-k.
-  const std::vector<std::vector<TopKEntry>> pools =
+  std::vector<std::vector<TopKEntry>> pools =
       delta::DeltaStore::Match(snap, queries, k);
+  pools.resize(results->size());
   for (size_t q = 0; q < results->size(); ++q) {
-    QueryResult& result = (*results)[q];
-    if (q < pools.size() && !pools[q].empty()) {
-      result.entries.insert(result.entries.end(), pools[q].begin(),
-                            pools[q].end());
-    }
-    std::sort(result.entries.begin(), result.entries.end(),
-              [](const TopKEntry& a, const TopKEntry& b) {
-                if (a.count != b.count) return a.count > b.count;
-                return a.id < b.id;
-              });
-    if (result.entries.size() > k) result.entries.resize(k);
-    result.threshold =
-        result.entries.size() >= k ? result.entries.back().count : 0;
+    const std::vector<TopKEntry>& entries = (*results)[q].entries;
+    pools[q].insert(pools[q].end(), entries.begin(), entries.end());
   }
+  *results = MergeCandidatePools(std::move(pools), k);
   const double overlay_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     overlay_start)
@@ -551,99 +491,14 @@ Result<std::vector<QueryResult>> EngineBackend::ExecuteBatchAtK(
 
 Result<std::vector<QueryResult>> EngineBackend::ExecuteBatchLocked(
     std::span<const Query> queries, std::span<const ObjectId> excluded) {
-  if (remote_ != nullptr) {
-    // The multi-node tier has no local escalation ladder: a shard that
-    // cannot execute (every replica failed) fails the batch with the
-    // workers' Status — sharding finer is a deployment decision, not a
-    // runtime fallback.
-    return remote_->ExecuteBatch(queries, excluded);
-  }
-  if (single_ != nullptr) {
-    auto results = single_->ExecuteBatch(queries, excluded);
-    if (results.ok() ||
-        results.status().code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return results;
-    }
-    // Batch working memory did not fit beside the index (or the per-query
-    // hash table overflowed): retire the single engine — freeing the
-    // device-resident index — and escalate through multiple loading.
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        // Re-plan: with the overflow recorded the planner promotes the
-        // batch to kBucketSelect, whose select stage cannot overflow.
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries, excluded);
-        }
-      }
-    } else {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(SetUpMultiLoad(
-        std::max(2u, std::min(EstimateParts(), backend_options_.max_parts))));
-  }
-
-  if (multi_device_ != nullptr) {
-    auto results = multi_device_->ExecuteBatch(queries, excluded);
-    if (results.ok() ||
-        results.status().code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return results;
-    }
-    // Working memory did not fit beside the resident parts on some device;
-    // sharding finer does not reduce per-device residency, so fall back to
-    // time-multiplexing the base device. A c-PQ overflow instead re-plans
-    // onto the overflow-immune selector and keeps the resident tier.
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries, excluded);
-        }
-      }
-    } else {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(SetUpMultiLoad(
-        std::max(2u, std::min(EstimateParts(), backend_options_.max_parts))));
-  }
-
-  return MultiLoadLoopLocked(queries, excluded);
-}
-
-Result<std::vector<QueryResult>> EngineBackend::MultiLoadLoopLocked(
-    std::span<const Query> queries, std::span<const ObjectId> excluded) {
   while (true) {
-    auto results = multi_->ExecuteBatch(queries, excluded);
+    auto results = remote_ != nullptr
+                       ? remote_->ExecuteBatch(queries, excluded)
+                   : single_ != nullptr
+                       ? single_->ExecuteBatch(queries, excluded)
+                       : partitioned_->ExecuteBatch(queries, excluded);
     if (results.ok()) return results;
-    if (results.status().code() != StatusCode::kResourceExhausted) {
-      return results;
-    }
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries, excluded);
-        }
-      }
-    }
-    const uint32_t parts = NumPartsLocked();
-    if (parts >= backend_options_.max_parts ||
-        parts >= index_->num_objects()) {
-      return results;
-    }
-    if (!MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(
-        SetUpMultiLoad(std::min(parts * 2, backend_options_.max_parts)));
+    GENIE_RETURN_NOT_OK(EscalateLocked(results.status()));
   }
 }
 
@@ -654,10 +509,11 @@ Result<EngineBackend::StagedChunk> EngineBackend::Prepare(
   }
   StagedChunk chunk;
   chunk.queries_ = queries;
-  std::shared_ptr<MatchEngine> single;
-  std::shared_ptr<MultiLoadEngine> multi;
-  std::shared_ptr<MultiDeviceEngine> multi_device;
+  // `shards` is declared first so it is released last: the engine copies
+  // below read it.
   std::shared_ptr<const ShardedIndex> shards;
+  std::shared_ptr<MatchEngine> single;
+  std::shared_ptr<PartitionedEngine> partitioned;
   {
     // Snapshot the live tier; the staging work below runs outside the lock
     // so it can overlap a chunk executing on the device. The local shared
@@ -671,9 +527,12 @@ Result<EngineBackend::StagedChunk> EngineBackend::Prepare(
     chunk.generation_ = generation_;
     shards = sharded_;
     single = single_;
-    multi = multi_;
-    multi_device = multi_device_;
+    partitioned = partitioned_;
   }
+  // ResourceExhausted: no room to double-buffer the task lists beside the
+  // in-flight chunk; the chunk executes unpipelined (which can still
+  // escalate tiers if even single-buffered execution does not fit). A
+  // swapped partitioned tier stages host-side only and never misses.
   if (single != nullptr) {
     auto staged = single->Prepare(queries);
     if (staged.ok()) {
@@ -682,22 +541,14 @@ Result<EngineBackend::StagedChunk> EngineBackend::Prepare(
     } else if (staged.status().code() != StatusCode::kResourceExhausted) {
       return staged.status();
     }
-    // ResourceExhausted: no room to double-buffer the task lists beside
-    // the in-flight chunk; the chunk executes unpipelined (which can still
-    // escalate tiers if even single-buffered execution does not fit).
-  } else if (multi_device != nullptr) {
-    auto staged = multi_device->Prepare(queries);
+  } else if (partitioned != nullptr) {
+    auto staged = partitioned->Prepare(queries);
     if (staged.ok()) {
-      chunk.tier_ = StagedChunk::Tier::kMultiDevice;
-      chunk.device_staged_ = std::move(staged).ValueOrDie();
+      chunk.tier_ = StagedChunk::Tier::kPartitioned;
+      chunk.partitioned_staged_ = std::move(staged).ValueOrDie();
     } else if (staged.status().code() != StatusCode::kResourceExhausted) {
       return staged.status();
     }
-  } else if (multi != nullptr) {
-    // Host-side resolution only — the multi-load device has no room for a
-    // second chunk's buffers, so the overlappable half is the CPU work.
-    chunk.multi_staged_ = multi->Prepare(queries);
-    chunk.tier_ = StagedChunk::Tier::kMultiLoad;
   }
   return chunk;
 }
@@ -713,89 +564,25 @@ Result<std::vector<QueryResult>> EngineBackend::Execute(StagedChunk chunk) {
 
 Result<std::vector<QueryResult>> EngineBackend::ExecuteStagedLocked(
     StagedChunk chunk, std::span<const ObjectId> excluded) {
-  // Shared tail of the resident tiers (single / multi-device): return the
-  // staged results unless they signal the multi-load escalation, which
-  // mirrors ExecuteBatchLocked. The staged buffers were already released
-  // by ExecuteStaged, and chunks hold no engine references, so the
-  // retire inside SetUpMultiLoad genuinely frees the device-resident
-  // index before the fallback needs the memory — even with a successor
-  // chunk staged ahead.
-  auto finish_resident_tier =
-      [&](Result<std::vector<QueryResult>> results,
-          std::span<const Query> queries)
-      -> Result<std::vector<QueryResult>> {
-    if (results.ok() ||
-        results.status().code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return results;
-    }
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries, excluded);
-        }
-      }
-    } else {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(SetUpMultiLoad(std::max(
-        2u, std::min(EstimateParts(), backend_options_.max_parts))));
-    return MultiLoadLoopLocked(queries, excluded);
-  };
-  if (chunk.tier_ != StagedChunk::Tier::kNone &&
-      chunk.generation_ == generation_) {
-    switch (chunk.tier_) {
-      case StagedChunk::Tier::kSingle:
-        return finish_resident_tier(
-            single_->ExecuteStaged(std::move(chunk.single_staged_), excluded),
-            chunk.queries_);
-      case StagedChunk::Tier::kMultiDevice:
-        return finish_resident_tier(
-            multi_device_->ExecuteStaged(std::move(chunk.device_staged_),
-                                         excluded),
-            chunk.queries_);
-      case StagedChunk::Tier::kMultiLoad: {
-        auto results =
-            multi_->ExecuteStaged(std::move(chunk.multi_staged_), excluded);
-        if (results.ok() ||
-            results.status().code() != StatusCode::kResourceExhausted) {
-          return results;
-        }
-        // Part escalation invalidates the pre-resolved per-part task
-        // lists; re-enter the plain loop (which re-resolves per attempt).
-        if (MatchEngine::IsCpqOverflow(results.status())) {
-          cost_model_.RecordCpqOverflow();
-          if (backend_options_.use_planner &&
-              options_.selector == MatchEngineOptions::Selector::kCpq) {
-            GENIE_RETURN_NOT_OK(SetUpTierLocked());
-            if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-              return ExecuteBatchLocked(chunk.queries_, excluded);
-            }
-          }
-        }
-        const uint32_t parts = NumPartsLocked();
-        if (parts >= backend_options_.max_parts ||
-            parts >= index_->num_objects()) {
-          return results;
-        }
-        if (!MatchEngine::IsCpqOverflow(results.status())) {
-          cost_model_.RecordEscalation();
-        }
-        GENIE_RETURN_NOT_OK(
-            SetUpMultiLoad(std::min(parts * 2, backend_options_.max_parts)));
-        return MultiLoadLoopLocked(chunk.queries_, excluded);
-      }
-      case StagedChunk::Tier::kNone:
-        break;
-    }
-  }
-  // Unstaged chunk, or the backend escalated between Prepare and Execute:
-  // drop any stale staged state, then run the plain path.
   const std::span<const Query> queries = chunk.queries_;
-  chunk = StagedChunk{};
+  if (!chunk.staged() || chunk.generation_ != generation_) {
+    // Unstaged chunk, or the backend escalated between Prepare and Execute:
+    // drop any stale staged state, then run the plain path.
+    chunk = StagedChunk{};
+    return ExecuteBatchLocked(queries, excluded);
+  }
+  auto results =
+      chunk.tier_ == StagedChunk::Tier::kSingle
+          ? single_->ExecuteStaged(std::move(chunk.single_staged_), excluded)
+          : partitioned_->ExecuteStaged(std::move(chunk.partitioned_staged_),
+                                        excluded);
+  if (results.ok()) return results;
+  // The staged buffers were already released by ExecuteStaged, and chunks
+  // hold no engine references, so the retire inside the escalation
+  // genuinely frees the device-resident index before the next rung needs
+  // the memory — even with a successor chunk staged ahead. The escalated
+  // tier invalidates the staged work; the plain path re-resolves.
+  GENIE_RETURN_NOT_OK(EscalateLocked(results.status()));
   return ExecuteBatchLocked(queries, excluded);
 }
 
@@ -814,7 +601,7 @@ uint64_t EngineBackend::ScannedPostingsLocked(
 
 void EngineBackend::ObserveExecutionLocked(const ProfileSnapshot& before,
                                            std::span<const Query> queries) {
-  if (!backend_options_.use_planner || queries.empty()) return;
+  if (queries.empty()) return;
   const ProfileSnapshot after = SnapshotLocked();
   MatchProfile delta = after.match;
   delta.Subtract(before.match);
@@ -831,9 +618,8 @@ void EngineBackend::ObserveExecutionLocked(const ProfileSnapshot& before,
 
 uint32_t EngineBackend::NumPartsLocked() const {
   if (remote_ != nullptr) return remote_->num_shards();
-  if (multi_ != nullptr) return static_cast<uint32_t>(multi_->num_parts());
-  if (multi_device_ != nullptr) {
-    return static_cast<uint32_t>(multi_device_->num_parts());
+  if (partitioned_ != nullptr) {
+    return static_cast<uint32_t>(partitioned_->num_parts());
   }
   return 1;
 }
@@ -844,12 +630,17 @@ EngineBackend::ProfileSnapshot EngineBackend::SnapshotLocked() const {
   snapshot.merge_s = carried_merge_s_;
   if (single_ != nullptr) {
     snapshot.match.Accumulate(single_->profile());
-  } else if (multi_device_ != nullptr) {
-    const MultiDeviceProfile p = multi_device_->profile();
+  } else if (partitioned_ != nullptr) {
+    PartitionedProfile p = partitioned_->profile();
     snapshot.match.Accumulate(p.Combined());
     snapshot.merge_s += p.merge_s;
-    snapshot.devices = p.per_device;
-    snapshot.num_devices = static_cast<uint32_t>(multi_device_->num_devices());
+    if (partitioned_->swapped()) {
+      snapshot.multi_load = true;
+    } else {
+      snapshot.devices = std::move(p.per_device);
+      snapshot.num_devices =
+          static_cast<uint32_t>(partitioned_->num_devices());
+    }
   } else if (remote_ != nullptr) {
     snapshot.remote = true;
     snapshot.remote_profile = carried_remote_;
@@ -866,10 +657,6 @@ EngineBackend::ProfileSnapshot EngineBackend::SnapshotLocked() const {
     }
     snapshot.match.Accumulate(remote_match);
     snapshot.merge_s += snapshot.remote_profile.merge_s;
-  } else {
-    snapshot.match.Accumulate(multi_->profile().per_part);
-    snapshot.merge_s += multi_->profile().merge_s;
-    snapshot.multi_load = true;
   }
   snapshot.parts = NumPartsLocked();
   snapshot.plan = plan_;
@@ -883,7 +670,7 @@ EngineBackend::ProfileSnapshot EngineBackend::profile_snapshot() const {
 
 bool EngineBackend::multi_load() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return multi_ != nullptr;
+  return partitioned_ != nullptr && partitioned_->swapped();
 }
 
 uint32_t EngineBackend::num_parts() const {
@@ -893,28 +680,15 @@ uint32_t EngineBackend::num_parts() const {
 
 uint32_t EngineBackend::num_devices() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return multi_device_ != nullptr
-             ? static_cast<uint32_t>(multi_device_->num_devices())
+  return partitioned_ != nullptr
+             ? static_cast<uint32_t>(partitioned_->num_devices())
              : 1;
 }
 
 EngineBackend::BatchBudget EngineBackend::batch_budget() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (multi_device_ != nullptr && devices_ != nullptr) {
-    BatchBudget tightest;
-    uint64_t min_free = std::numeric_limits<uint64_t>::max();
-    for (size_t d = 0; d < devices_->size(); ++d) {
-      const sim::Device* dev = devices_->device(d);
-      const uint64_t capacity = dev->memory_capacity_bytes();
-      const uint64_t allocated = dev->allocated_bytes();
-      const uint64_t free_bytes =
-          capacity > allocated ? capacity - allocated : 0;
-      if (free_bytes < min_free) {
-        min_free = free_bytes;
-        tightest = BatchBudget{capacity, allocated};
-      }
-    }
-    return tightest;
+  if (partitioned_ != nullptr && !partitioned_->swapped()) {
+    return TightestDevice(*devices_);
   }
   return BatchBudget{device()->memory_capacity_bytes(),
                      device()->allocated_bytes()};
@@ -947,20 +721,17 @@ plan::IndexStats EngineBackend::index_stats() const {
 
 std::string EngineBackend::ExplainPlan() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "planner: ";
-  out += backend_options_.use_planner ? "on" : "off";
-  if (backend_options_.use_planner) {
-    out += stats_persisted_ ? " (stats: persisted)" : " (stats: computed)";
-  }
+  std::string out = "planner: on";
+  out += stats_persisted_ ? " (stats: persisted)" : " (stats: computed)";
   out += "\nplan: ";
   out += plan_.DebugString();
   out += "\nlive: tier=";
   if (single_ != nullptr) {
     out += "single-device";
-  } else if (multi_device_ != nullptr) {
+  } else if (partitioned_ != nullptr && !partitioned_->swapped()) {
     out += "multi-device devices=" +
-           std::to_string(multi_device_->num_devices());
-  } else if (multi_ != nullptr) {
+           std::to_string(partitioned_->num_devices());
+  } else if (partitioned_ != nullptr) {
     out += "multi-load";
   } else if (remote_ != nullptr) {
     out += "remote workers=" + std::to_string(remote_->num_shards());

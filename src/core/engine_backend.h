@@ -1,11 +1,13 @@
 #pragma once
 
 /// \file engine_backend.h
-/// Backend selection for match-count execution: run on a single-load
-/// MatchEngine when the index fits in device memory, shard across the N
-/// devices of a sim::DeviceSet when space multiplexing is requested
-/// (num_devices > 1), and transparently fall back to the sequential
-/// MultiLoadEngine (Section III-D) when the index does not fit resident.
+/// Backend selection for match-count execution: the query planner picks the
+/// tier — a single-load MatchEngine when the index fits in device memory, a
+/// PartitionedEngine with parts resident across the N devices of a
+/// sim::DeviceSet when space multiplexing is requested (num_devices > 1) or
+/// swapped through the base device (multiple loading, Section III-D) when
+/// the index does not fit resident, or the RemoteEngine scatter-gather —
+/// and one escalation ladder absorbs the misses of an optimistic plan.
 /// Callers no longer hand-roll the ResourceExhausted -> shard ->
 /// multiple-loading dance; every domain searcher and the genie::Engine
 /// facade route through this class.
@@ -21,8 +23,7 @@
 
 #include "common/result.h"
 #include "core/match_engine.h"
-#include "core/multi_device_engine.h"
-#include "core/multi_load_engine.h"
+#include "core/partitioned_engine.h"
 #include "core/remote_engine.h"
 #include "index/delta/delta_store.h"
 #include "index/shard.h"
@@ -34,8 +35,8 @@
 namespace genie {
 
 struct EngineBackendOptions {
-  /// When false, ResourceExhausted from the single-load engine is returned
-  /// to the caller instead of triggering the multiple-loading fallback.
+  /// When false, every ResourceExhausted (memory or c-PQ overflow) is
+  /// returned to the caller instead of climbing the escalation ladder.
   bool allow_multi_load = true;
   /// Upper bound on fallback parts; escalation past it fails.
   uint32_t max_parts = 256;
@@ -54,8 +55,8 @@ struct EngineBackendOptions {
 
   /// Devices to shard across (space multiplexing). 1 = the classic
   /// single-device tiers. When > 1 the index is sharded into
-  /// max(num_devices, force_parts) object-range parts assigned round-robin
-  /// to the devices, all parts resident; batches execute on every device in
+  /// max(num_devices, force_parts) volume-balanced parts placed across the
+  /// devices, all parts resident; batches execute on every device in
   /// parallel. If the parts do not fit resident, the backend falls back to
   /// sequential multiple loading on the base device (when allowed).
   uint32_t num_devices = 1;
@@ -66,14 +67,6 @@ struct EngineBackendOptions {
   /// runs the classic single-device tiers on its device(0).
   sim::DeviceSet* device_set = nullptr;
 
-  /// Decide tier / part boundaries / placement through the cost-model
-  /// query planner (the default): an IndexStats pass feeds a QueryPlanner
-  /// whose ExecutionPlan the backend executes, with the try-and-escalate
-  /// path kept only as a safety net that feeds misses back into the model.
-  /// false = the legacy hard-coded decisions (uniform object-range
-  /// sharding, try-and-escalate tier selection) — kept bit-for-bit for the
-  /// plan-vs-escalation equality tests.
-  bool use_planner = true;
   /// Precomputed stats of the creation-time index (e.g. persisted in a
   /// bundle), so Create skips the stats pass. Borrowed only during Create
   /// (the backend copies them); ignored — and recomputed — when they do
@@ -81,9 +74,9 @@ struct EngineBackendOptions {
   const plan::IndexStats* index_stats = nullptr;
 
   /// The multi-node tier: when endpoints are configured the backend shards
-  /// the index across them (postings-volume-balanced cut when the planner
-  /// is on) and executes every batch through a RemoteEngine scatter-gather
-  /// instead of the local tiers. Mutually exclusive with num_devices > 1 /
+  /// the index across them (postings-volume-balanced cut) and executes
+  /// every batch through a RemoteEngine scatter-gather instead of the
+  /// local tiers. Mutually exclusive with num_devices > 1 /
   /// device_set (one machine-parallelism axis at a time).
   net::RemoteOptions remote;
 };
@@ -109,7 +102,7 @@ class EngineBackend {
     uint32_t parts = 1;
     uint32_t num_devices = 1;
     /// The execution plan the live tier runs under (plan.planned == false
-    /// when the legacy / escalation fallback path set the tier up).
+    /// when an escalation set the tier up).
     plan::ExecutionPlan plan;
     /// Multi-node tier only: per-worker transport/stage accounting.
     bool remote = false;
@@ -122,8 +115,8 @@ class EngineBackend {
       const InvertedIndex* index, const MatchEngineOptions& options,
       const EngineBackendOptions& backend_options = {});
 
-  /// Executes one batch, escalating to (more) parts on ResourceExhausted.
-  /// Equivalent to Execute(Prepare(queries)).
+  /// Executes one batch, climbing the escalation ladder on
+  /// ResourceExhausted. Equivalent to Execute(Prepare(queries)).
   Result<std::vector<QueryResult>> ExecuteBatch(std::span<const Query> queries);
 
   /// Executes one batch answering the top `k` per query instead of the
@@ -156,7 +149,7 @@ class EngineBackend {
 
    private:
     friend class EngineBackend;
-    enum class Tier { kNone, kSingle, kMultiLoad, kMultiDevice };
+    enum class Tier { kNone, kSingle, kPartitioned };
 
     Tier tier_ = Tier::kNone;
     std::span<const Query> queries_;
@@ -167,8 +160,7 @@ class EngineBackend {
     /// index through a tier escalation. Execute validates the tier via the
     /// generation and uses the backend's own engine.
     MatchEngine::StagedBatch single_staged_;
-    MultiLoadEngine::StagedBatch multi_staged_;
-    MultiDeviceEngine::StagedBatch device_staged_;
+    PartitionedEngine::StagedBatch partitioned_staged_;
   };
 
   /// Prepare stage of the pipeline: transform-side work (Position-Map
@@ -208,11 +200,11 @@ class EngineBackend {
   /// Devices batches execute on (1 unless the multi-device tier is active).
   uint32_t num_devices() const;
 
-  /// The plan the live tier executes (planned == false when the legacy
-  /// path or an escalation set it up).
+  /// The plan the live tier executes (planned == false when an escalation
+  /// set it up).
   plan::ExecutionPlan execution_plan() const;
   /// Stats of the executed index: persisted (bundle) or computed at
-  /// create/swap time. Empty default when the planner is disabled.
+  /// create/swap time.
   plan::IndexStats index_stats() const;
   /// Copy of the calibrated cost model (tests / diagnostics: overflow
   /// counts, per-selector rates).
@@ -295,16 +287,23 @@ class EngineBackend {
                 const EngineBackendOptions& backend_options);
 
   /// The creation-time tier selection, re-runnable: also used to rebuild
-  /// the tier over a swapped-in index or at a grown k.
-  /// With use_planner it plans first and applies the plan (escalating
-  /// through re-plans on a memory miss, feeding the cost model); without,
-  /// it runs the legacy hard-coded selection. Builds the replacement fully
-  /// before retiring, so a failure leaves the previous engines live.
+  /// the tier over a swapped-in index, at a grown k, or after a c-PQ
+  /// overflow. Plans and applies the plan; a memory miss is recorded (the
+  /// cost model tightens) and re-planned, and a plan that misses three
+  /// times takes the ladder's first rung (EscalateLocked). Builds the
+  /// replacement fully before retiring, so a failure leaves the previous
+  /// engines live.
   Status SetUpTierLocked();
-  /// The legacy decision path (multi-device when N > 1, forced multi-load,
-  /// or single load with the ResourceExhausted fallback) — also the
-  /// planner's last-resort safety net.
-  Status SetUpTierLegacyLocked();
+  /// The one escalation ladder, shared by tier set-up and every execution
+  /// path. Given the ResourceExhausted of a miss it changes the live tier
+  /// and returns OK (the caller retries), or returns the status to surface:
+  /// a c-PQ overflow is recorded and re-planned (selector promotion); a
+  /// memory miss is recorded and moves to multiple loading at
+  /// EstimateParts() parts, or doubles a live multi-load's parts up to
+  /// max_parts. Other errors, the remote tier (no ladder: sharding finer is
+  /// a deployment decision) and allow_multi_load == false surface
+  /// unchanged.
+  Status EscalateLocked(const Status& status);
   /// Recomputes stats_ when they no longer describe index_ (index swap) —
   /// persisted bundle stats survive until the first swap.
   void RefreshStatsLocked();
@@ -342,20 +341,17 @@ class EngineBackend {
   /// refreshed — when the live RemoteEngine already serves this index, so
   /// k growth does not re-push shards over the wire.
   Status SetUpRemote();
-  /// Shards the full index into `parts` and rebuilds the multi-load
-  /// engine. Non-empty `boundaries` (a planner cut) override the uniform
-  /// object-range split.
-  Status SetUpMultiLoad(uint32_t parts,
-                        std::span<const ObjectId> boundaries = {});
-  /// Shards into `parts` across the device set and builds the resident
-  /// multi-device engine. Non-empty `boundaries` / `placement` (a planner
-  /// cut) override the uniform split and the round-robin assignment.
-  Status SetUpMultiDevice(uint32_t parts,
+  /// Shards the full index into `parts` and builds the partitioned engine
+  /// of `tier`: kMultiDevice keeps the parts resident on the device set
+  /// (`placement` names each part's device, round-robin when empty),
+  /// kMultiLoad swaps them through the base device. Non-empty `boundaries`
+  /// (a planner cut) override the volume-balanced split.
+  Status SetUpPartitioned(plan::ExecutionPlan::Tier tier, uint32_t parts,
                           std::span<const ObjectId> boundaries = {},
                           std::span<const uint32_t> placement = {});
-  /// The sharding the escalation safety net uses: volume-balanced when the
-  /// planner owns decisions (so escalated parts match what a re-plan would
-  /// cut), uniform on the legacy path.
+  /// Cuts `parts` at `boundaries`, or — when empty — at the volume-balanced
+  /// boundaries a re-plan would emit, so planned and escalated part
+  /// layouts agree.
   Result<ShardedIndex> ShardLocked(uint32_t parts,
                                    std::span<const ObjectId> boundaries);
   /// Folds the live engine's stage costs into carried_profile_ and retires
@@ -366,17 +362,14 @@ class EngineBackend {
 
   uint32_t NumPartsLocked() const;
   ProfileSnapshot SnapshotLocked() const;
-  /// The unpipelined execution path (the body of ExecuteBatch); mu_ held.
+  /// The unpipelined execution path (the body of ExecuteBatch): executes
+  /// on the live tier, escalating until it answers; mu_ held.
   /// `excluded`: sorted global ids no result may contain (tombstones).
   Result<std::vector<QueryResult>> ExecuteBatchLocked(
       std::span<const Query> queries, std::span<const ObjectId> excluded);
   /// The staged-chunk execution path (the body of Execute); mu_ held.
   Result<std::vector<QueryResult>> ExecuteStagedLocked(
       StagedChunk chunk, std::span<const ObjectId> excluded);
-  /// The multi-load execute + part-escalation loop; mu_ held and multi_
-  /// live.
-  Result<std::vector<QueryResult>> MultiLoadLoopLocked(
-      std::span<const Query> queries, std::span<const ObjectId> excluded);
 
   /// The executed index. The creation-time one is wrapped without
   /// ownership (the caller owns it); swapped-in generations are shared with
@@ -414,14 +407,15 @@ class EngineBackend {
   /// escalation as before, and finished StagedChunks hold no engine
   /// references at all.
   std::shared_ptr<MatchEngine> single_;
-  std::shared_ptr<const ShardedIndex> sharded_;
-  std::shared_ptr<MultiLoadEngine> multi_;
-  /// Multi-device tier: the device registry (owned unless the caller passed
-  /// one in) and the resident sharded engine.
+  /// The device registry of the resident placement (owned unless the
+  /// caller passed one in). Declared before the engines resident on it, so
+  /// it outlives them.
   std::unique_ptr<sim::DeviceSet> owned_devices_;
   sim::DeviceSet* devices_ = nullptr;
-  std::shared_ptr<MultiDeviceEngine> multi_device_;
-  /// Multi-node tier (exclusive with the three local tiers) and the index
+  std::shared_ptr<const ShardedIndex> sharded_;
+  /// The multi-device (resident) or multi-load (swapped) tier.
+  std::shared_ptr<PartitionedEngine> partitioned_;
+  /// Multi-node tier (exclusive with the local tiers) and the index
   /// its workers currently hold, so a rebuild that does not change the
   /// index skips the shard re-push.
   std::shared_ptr<RemoteEngine> remote_;

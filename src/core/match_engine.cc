@@ -85,7 +85,7 @@ Status BucketSelectAndFinalize(sim::Device* device, uint32_t num_queries,
     while (!result.entries.empty() && result.entries.back().count == 0) {
       result.entries.pop_back();
     }
-    result.threshold = result.entries.empty() ? 0 : result.entries.back().count;
+    result.threshold = TopKThreshold(result.entries, k);
   }
   return Status::OK();
 }
@@ -553,13 +553,8 @@ Result<std::vector<QueryResult>> MatchEngine::ExecuteStaged(
         if (result.entries.size() > engine_k) {
           result.entries.resize(engine_k);
         }
-        std::atomic_ref<uint32_t> at_ref(audit_base[q]);
-        const uint32_t at = at_ref.load(std::memory_order_relaxed);
-        result.threshold = result.entries.size() == engine_k
-                               ? GateView::SelectThreshold(at)
-                               : (result.entries.empty()
-                                      ? 0
-                                      : result.entries.back().count);
+        // A full cut's k-th count is AT - 1 (Theorem 3.1).
+        result.threshold = TopKThreshold(result.entries, engine_k);
       });
       GENIE_RETURN_NOT_OK(first_error);
       profile_.result_bytes += result_bytes.load();

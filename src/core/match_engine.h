@@ -134,7 +134,7 @@ class MatchEngine {
   /// Transfers the index's List Array to the device (profiled as
   /// "index transfer"). The index must outlive the engine. Fails with
   /// ResourceExhausted when the List Array does not fit in device memory —
-  /// the signal to use MultiLoadEngine.
+  /// the signal to use multiple loading (PartitionedEngine, swapped).
   static Result<std::unique_ptr<MatchEngine>> Create(
       const InvertedIndex* index, const MatchEngineOptions& options);
   /// Shared-ownership variant: the engine keeps `index` alive, so an index
@@ -171,8 +171,8 @@ class MatchEngine {
     double prepare_s = 0;
   };
 
-  /// Host resolution only (shared with MultiLoadEngine's look-ahead, which
-  /// resolves against parts whose engines do not exist yet).
+  /// Host resolution only (shared with the swapped PartitionedEngine's
+  /// prepare, which resolves against parts whose engines do not exist yet).
   static MatchTaskList ResolveTasks(const InvertedIndex& index,
                                     std::span<const Query> queries,
                                     const MatchEngineOptions& options);

@@ -54,8 +54,17 @@ struct TopKEntry {
 struct QueryResult {
   std::vector<TopKEntry> entries;
   /// The match count of the k-th object, MC_k. For the c-PQ engine this is
-  /// AT - 1 (Theorem 3.1); 0 when fewer than k objects matched.
+  /// AT - 1 (Theorem 3.1); 0 when fewer than k objects matched. Every site
+  /// that cuts a top-k fills it through TopKThreshold.
   uint32_t threshold = 0;
 };
+
+/// QueryResult::threshold of a cut sorted best first: the k-th entry's
+/// count when the cut holds at least k entries, 0 when fewer than k objects
+/// matched.
+inline uint32_t TopKThreshold(std::span<const TopKEntry> entries,
+                              uint32_t k) {
+  return k > 0 && entries.size() >= k ? entries[k - 1].count : 0;
+}
 
 }  // namespace genie

@@ -6,7 +6,7 @@
 /// The coordinator scatters a batch to every shard in parallel, gathers the
 /// per-shard candidate pools (already lifted to global object ids by the
 /// workers) and merges them with MergeCandidatePools — the same host-side
-/// merge as the multi-device tier, so remote answers are bit-identical to
+/// merge as the partitioned tiers, so remote answers are bit-identical to
 /// local ones up to the documented boundary-tie freedom.
 ///
 /// Fault tolerance: each shard has an ordered replica list. Attempt 0 goes
@@ -34,7 +34,7 @@
 
 #include "common/result.h"
 #include "core/match_engine.h"
-#include "core/multi_load_engine.h"
+#include "core/partitioned_engine.h"
 #include "core/query.h"
 #include "net/remote_options.h"
 

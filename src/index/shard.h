@@ -5,7 +5,7 @@
 /// (Section III-D): the object universe is split into contiguous id ranges
 /// and a local-id index is rebuilt per range. Shard p's local object o
 /// corresponds to global object offsets[p] + o, which is exactly the
-/// IndexPart contract of MultiLoadEngine.
+/// IndexPart contract of PartitionedEngine.
 
 #include <cstdint>
 #include <span>

@@ -26,7 +26,7 @@ struct LshSearchOptions {
   MatchEngineOptions engine;  // engine.k = number of candidates kept
   IndexBuildOptions build;
   /// Backend selection: when the index exceeds device memory the searcher
-  /// transparently shards it and answers through MultiLoadEngine.
+  /// transparently shards it and answers through multiple loading.
   EngineBackendOptions backend;
 };
 

@@ -167,8 +167,8 @@ ExecutionPlan QueryPlanner::Plan(const PlannerInputs& inputs,
   if (inputs.num_devices > 1) {
     // Space multiplexing requested: shard across the devices with
     // volume-balanced boundaries, unless the per-device residency
-    // predictably exceeds memory — then time-multiplex instead (exactly
-    // the legacy fallback, decided up front).
+    // predictably exceeds memory — then time-multiplex instead (the
+    // escalation ladder's first rung, decided up front).
     uint32_t parts = std::max(inputs.num_devices, inputs.force_parts);
     parts = std::min(parts, max_useful_parts);
     std::vector<ObjectId> boundaries = BalancedBoundaries(stats, parts);

@@ -7,9 +7,9 @@
 /// turns IndexStats (data shape) + CostModel (machine rates + escalation
 /// feedback) + the caller's knobs into one plan — tier, postings-volume-
 /// balanced part boundaries, device placement, stream chunk size, pipeline
-/// depth — which EngineBackend then executes. The legacy try-and-escalate
-/// path survives only as the safety net behind a plan that proves
-/// optimistic, and each miss feeds the model for the next plan.
+/// depth — which EngineBackend then executes. The backend's escalation
+/// ladder is only the safety net behind a plan that proves optimistic, and
+/// each miss feeds the model for the next plan.
 
 #include <cstdint>
 #include <string>
@@ -77,8 +77,8 @@ struct ExecutionPlan {
   /// Chunks in flight: 2 = double-buffered prepare/execute pipeline, 1 =
   /// no overlap worth scheduling (or no memory headroom for it).
   uint32_t pipeline_depth = 1;
-  /// True when a QueryPlanner produced this plan; false on the legacy
-  /// try-and-escalate fallback path.
+  /// True when a QueryPlanner produced this plan; false when the backend's
+  /// escalation ladder set the tier up.
   bool planned = false;
 
   /// Max over min per-part postings volume (1.0 = perfectly balanced).

@@ -142,7 +142,8 @@ std::future<Result<SearchResult>> RequestScheduler::SubmitAsync(
   pending_.emplace(handle, std::move(sub));
   if (options_.dedup_inflight) inflight_[fingerprint] = handle;
   pending_queries_ += num_queries;
-  lock.unlock();
+  // Notify before unlocking: once mu_ is released a concurrent destructor
+  // may orphan this submission and destroy work_cv_.
   work_cv_.notify_all();
   return future;
 }

@@ -341,7 +341,7 @@ TEST(EngineTest, ProfilesCarryPerCallDeltasAndCumulativeTotals) {
 
 TEST(EngineTest, FallsBackToMultiLoadOnTinyDevice) {
   // An index too large for the device: the facade must shard it and answer
-  // through MultiLoadEngine without any caller intervention.
+  // through multiple loading without any caller intervention.
   auto workload = test::MakeRandomWorkload(4000, 30, 8, 4, 4, 14);
   sim::Device::Options small;
   small.num_workers = 4;

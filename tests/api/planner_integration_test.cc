@@ -1,9 +1,8 @@
-/// Facade-level planner contract: UsePlanner(true) — the default — must be
-/// invisible in the results. Every modality answers identically with the
-/// planner on and off at every device count of the sweep (the plan path vs
-/// the legacy try-and-escalate path), the profile carries the plan facts,
-/// ExplainPlan reports the live schedule, and bundles persist IndexStats
-/// that equal a fresh recompute.
+/// Facade-level planner contract: the planner must be invisible in the
+/// results. Every modality answers identically at every device count of the
+/// sweep as under a forced multi-load plan (plan vs forced plan), the
+/// profile carries the plan facts, ExplainPlan reports the live schedule,
+/// and bundles persist IndexStats that equal a fresh recompute.
 
 #include <gtest/gtest.h>
 
@@ -32,37 +31,35 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + name;
 }
 
-/// Same config, planner on vs off, at every device count: answers must be
-/// equal, and the profile must say which decision path produced them.
+/// The default engine at every device count against one engine forced onto
+/// a three-part multi-load plan: answers must be equal, and both profiles
+/// must report the plan their tier was built from.
 template <typename MakeConfig, typename MakeRequest>
 void CheckPlannerEquivalence(MakeConfig make_config,
                              MakeRequest make_request) {
+  auto forced = Engine::Create(make_config().ForceParts(3));
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  auto forced_result = (*forced)->Search(make_request());
+  ASSERT_TRUE(forced_result.ok()) << forced_result.status().ToString();
+  EXPECT_TRUE(forced_result->profile.planned);
+  EXPECT_EQ(forced_result->profile.plan_tier, "multi-load");
+
   for (uint32_t devices : DeviceSweep()) {
-    auto planned =
-        Engine::Create(make_config().Devices(devices).UsePlanner(true));
+    auto planned = Engine::Create(make_config().Devices(devices));
     ASSERT_TRUE(planned.ok())
         << devices << " devices: " << planned.status().ToString();
-    auto legacy =
-        Engine::Create(make_config().Devices(devices).UsePlanner(false));
-    ASSERT_TRUE(legacy.ok())
-        << devices << " devices: " << legacy.status().ToString();
-
     auto planned_result = (*planned)->Search(make_request());
     ASSERT_TRUE(planned_result.ok())
         << devices << " devices: " << planned_result.status().ToString();
-    auto legacy_result = (*legacy)->Search(make_request());
-    ASSERT_TRUE(legacy_result.ok())
-        << devices << " devices: " << legacy_result.status().ToString();
 
     EXPECT_TRUE(planned_result->profile.planned)
         << "at " << devices << " devices";
     EXPECT_FALSE(planned_result->profile.plan_tier.empty());
-    EXPECT_FALSE(legacy_result->profile.planned)
-        << "at " << devices << " devices";
 
     test::ExpectSameAnswers(
-        *planned_result, *legacy_result,
-        "planner vs legacy at " + std::to_string(devices) + " devices");
+        *planned_result, *forced_result,
+        "plan vs forced multi-load plan at " + std::to_string(devices) +
+            " devices");
   }
 }
 
@@ -188,7 +185,6 @@ TEST(PlannerIntegrationTest, ExplainPlanReportsTheLiveSchedule) {
   auto engine = Engine::Create(EngineConfig()
                                    .Index(&workload.index)
                                    .K(4)
-                                   .UsePlanner(true)
                                    .Device(test::SharedTestDevice(2)));
   ASSERT_TRUE(engine.ok());
   const std::string report = (*engine)->ExplainPlan();
@@ -196,15 +192,6 @@ TEST(PlannerIntegrationTest, ExplainPlanReportsTheLiveSchedule) {
   EXPECT_NE(report.find("tier=single-device"), std::string::npos) << report;
   EXPECT_NE(report.find("objects=300"), std::string::npos) << report;
   EXPECT_NE(report.find("margin"), std::string::npos) << report;
-
-  auto legacy = Engine::Create(EngineConfig()
-                                   .Index(&workload.index)
-                                   .K(4)
-                                   .UsePlanner(false)
-                                   .Device(test::SharedTestDevice(2)));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_NE((*legacy)->ExplainPlan().find("planner: off"),
-            std::string::npos);
 }
 
 TEST(PlannerIntegrationTest, ProfileCarriesPlanFacts) {

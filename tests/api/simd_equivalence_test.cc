@@ -46,9 +46,10 @@ const char* SelectorLabel(SelectorKind s) {
 
 /// Same config and request, scalar arm vs best vector arm, for every
 /// (device count, selector) cell. The force spans engine construction AND
-/// the search, so staging-time kernel use is covered too. The planner is
-/// pinned off so both runs execute the configured selector as-is (planner
-/// promotion equivalence has its own suite).
+/// the search, so staging-time kernel use is covered too. A fresh engine's
+/// plan runs the configured selector as-is — the planner promotes only
+/// after observing overflows or select rates — so both runs execute it
+/// (planner promotion equivalence has its own suite).
 template <typename MakeConfig, typename MakeRequest>
 void CheckSimdEquivalence(MakeConfig make_config, MakeRequest make_request) {
   const simd::Arch best = simd::BestSupportedArch();
@@ -60,10 +61,8 @@ void CheckSimdEquivalence(MakeConfig make_config, MakeRequest make_request) {
       std::vector<SearchResult> per_arm;
       for (const simd::Arch arch : {simd::Arch::kScalar, best}) {
         simd::ScopedForceArch force(arch);
-        auto engine = Engine::Create(make_config()
-                                         .Devices(devices)
-                                         .Selector(selector)
-                                         .UsePlanner(false));
+        auto engine = Engine::Create(
+            make_config().Devices(devices).Selector(selector));
         ASSERT_TRUE(engine.ok()) << label << ": "
                                  << engine.status().ToString();
         auto result = (*engine)->Search(make_request());

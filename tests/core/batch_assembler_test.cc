@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/rng.h"
 #include "test_util.h"
 
 namespace genie {
@@ -59,23 +63,46 @@ TEST(BatchAssemblerTest, BatchSizeForPrefersLivePlanChunkSize) {
 }
 
 TEST(BatchAssemblerTest, BatchSizeForFallsBackToMemoryWithoutPlan) {
-  auto workload = test::MakeRandomWorkload(300, 40, 6, 8, 4, 92);
+  // A batch whose working memory does not fit beside the resident index
+  // escalates the backend to multiple loading at batch time, which leaves
+  // no live plan: batch sizing falls back to the memory derivation.
+  const uint32_t kNumObjects = 3000;
+  const uint32_t kVocab = 100;
+  auto workload = test::MakeRandomWorkload(kNumObjects, kVocab, 8, 0, 0, 92);
+  Rng rng(93);
+  std::vector<Query> big_batch;
+  for (uint32_t q = 0; q < 8; ++q) {
+    std::set<Keyword> keywords;
+    while (keywords.size() < 48) {
+      keywords.insert(static_cast<Keyword>(rng.UniformU64(kVocab)));
+    }
+    Query query;
+    for (Keyword kw : keywords) query.AddItem(kw);
+    big_batch.push_back(std::move(query));
+  }
+
   MatchEngineOptions options;
   options.k = 5;
-  options.max_count = MatchEngine::DeriveMaxCount(workload.queries);
-  options.device = test::SharedTestDevice(4);
-  EngineBackendOptions backend_options;
-  backend_options.use_planner = false;  // legacy decision path: no live plan
-  auto backend =
-      EngineBackend::Create(&workload.index, options, backend_options);
-  ASSERT_TRUE(backend.ok());
+  options.max_count = MatchEngine::DeriveMaxCount(big_batch);
+  const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
+      kNumObjects, options, options.max_count);
+  sim::Device::Options capacity;
+  capacity.num_workers = 4;
+  capacity.memory_capacity_bytes =
+      workload.index.postings_bytes() + 4 * per_query;
+  sim::Device device(capacity);
+  options.device = &device;
+  auto backend = EngineBackend::Create(&workload.index, options);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  ASSERT_TRUE((*backend)->execution_plan().planned);
+  ASSERT_FALSE((*backend)->multi_load());
 
+  ASSERT_TRUE((*backend)->ExecuteBatch(big_batch).ok());
+  ASSERT_TRUE((*backend)->multi_load());
   ASSERT_FALSE((*backend)->execution_plan().planned);
   const uint32_t derived = BatchAssembler::BatchSizeFor(
-      **backend, std::span<const Query>(workload.queries), 0.5);
+      **backend, std::span<const Query>(big_batch), 0.5);
   const EngineBackend::BatchBudget budget = (*backend)->batch_budget();
-  const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
-      workload.index.num_objects(), options, options.max_count);
   EXPECT_EQ(derived,
             BatchAssembler::DeriveFromMemory(budget.capacity_bytes,
                                              budget.allocated_bytes,

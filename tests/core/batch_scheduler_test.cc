@@ -39,7 +39,7 @@ TEST(BatchSchedulerTest, ChunkedEqualsSingleBatch) {
 
 TEST(BatchSchedulerTest, EmptyQuerySetRejected) {
   // The scheduler enforces the same non-empty batch contract as
-  // MatchEngine / MultiLoadEngine / EngineBackend.
+  // MatchEngine / PartitionedEngine / EngineBackend.
   auto workload = test::MakeRandomWorkload(50, 10, 3, 1, 2, 82);
   MatchEngineOptions options;
   options.k = 3;

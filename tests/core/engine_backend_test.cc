@@ -301,9 +301,9 @@ TEST(EngineBackendTest, CpqOverflowPromotesSelectorThroughThePlanner) {
 }
 
 TEST(EngineBackendTest, CpqOverflowSurfacesWhenPlannerIsOff) {
-  // The legacy path keeps the configured selector pinned: the overflow is
-  // a caller-visible ResourceExhausted (with multi-load escalation off),
-  // exactly the pre-planner contract.
+  // With the escalation ladder disabled (allow_multi_load = false) even a
+  // c-PQ overflow climbs no rung: no re-plan promotes the selector, and the
+  // overflow is a caller-visible ResourceExhausted.
   auto workload = test::MakeRandomWorkload(3000, 10, 5, 2, 8, 52);
   MatchEngineOptions options;
   options.k = 4000;
@@ -311,7 +311,6 @@ TEST(EngineBackendTest, CpqOverflowSurfacesWhenPlannerIsOff) {
   options.ht_capacity_cap = 256;
   options.device = test::SharedTestDevice(4);
   EngineBackendOptions backend_options;
-  backend_options.use_planner = false;
   backend_options.allow_multi_load = false;
 
   auto backend =
@@ -323,6 +322,7 @@ TEST(EngineBackendTest, CpqOverflowSurfacesWhenPlannerIsOff) {
   EXPECT_TRUE(MatchEngine::IsCpqOverflow(results.status()));
   EXPECT_EQ((*backend)->execution_plan().selector,
             MatchEngineOptions::Selector::kCpq);
+  EXPECT_EQ((*backend)->cost_model_snapshot().cpq_overflows(), 0u);
 }
 
 TEST(EngineBackendTest, CompactedIndexGenerationsDieWithTheirLastReader) {

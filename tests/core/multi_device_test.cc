@@ -1,4 +1,8 @@
-#include "core/multi_device_engine.h"
+/// Space multiplexing: PartitionedEngine with every part resident on a
+/// device of a sim::DeviceSet, and the multi-device tier behind
+/// EngineBackend.
+
+#include "core/partitioned_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -37,8 +41,9 @@ TEST(MultiDeviceEngineTest, ResultsMatchSingleEngine) {
   options.k = 15;
   options.max_count = MatchEngine::DeriveMaxCount(workload.queries);
   auto multi =
-      MultiDeviceEngine::Create(PartsOf(*sharded), devices->get(), options);
+      PartitionedEngine::Create(PartsOf(*sharded), options, devices->get());
   ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  EXPECT_FALSE((*multi)->swapped());
   EXPECT_EQ((*multi)->num_parts(), 3u);
   EXPECT_EQ((*multi)->num_devices(), 3u);
 
@@ -72,7 +77,7 @@ TEST(MultiDeviceEngineTest, RoundRobinWithMorePartsThanDevices) {
   options.k = 10;
   options.max_count = MatchEngine::DeriveMaxCount(workload.queries);
   auto multi =
-      MultiDeviceEngine::Create(PartsOf(*sharded), devices->get(), options);
+      PartitionedEngine::Create(PartsOf(*sharded), options, devices->get());
   ASSERT_TRUE(multi.ok()) << multi.status().ToString();
   EXPECT_EQ((*multi)->num_parts(), 5u);
   EXPECT_EQ((*multi)->num_devices(), 2u);
@@ -104,7 +109,7 @@ TEST(MultiDeviceEngineTest, PartsStayResidentAcrossBatches) {
   MatchEngineOptions options;
   options.k = 5;
   auto multi =
-      MultiDeviceEngine::Create(PartsOf(*sharded), devices->get(), options);
+      PartitionedEngine::Create(PartsOf(*sharded), options, devices->get());
   ASSERT_TRUE(multi.ok());
   const uint64_t resident = devices->get()->allocated_bytes();
   EXPECT_GT(resident, 0u);
@@ -113,9 +118,9 @@ TEST(MultiDeviceEngineTest, PartsStayResidentAcrossBatches) {
   // No per-batch swap-in: batch working memory is released and the resident
   // index transfers happened exactly once, at creation.
   EXPECT_EQ(devices->get()->allocated_bytes(), resident);
-  const MultiDeviceProfile before = (*multi)->profile();
+  const PartitionedProfile before = (*multi)->profile();
   ASSERT_TRUE((*multi)->ExecuteBatch(workload.queries).ok());
-  const MultiDeviceProfile after = (*multi)->profile();
+  const PartitionedProfile after = (*multi)->profile();
   EXPECT_EQ(after.Combined().index_bytes, before.Combined().index_bytes);
   EXPECT_GT(after.Combined().query_bytes, before.Combined().query_bytes);
 
@@ -144,12 +149,14 @@ TEST(MultiDeviceEngineTest, OverlappingPartsRejected) {
   MatchEngineOptions options;
   options.k = 5;
   auto multi =
-      MultiDeviceEngine::Create(overlapping, devices->get(), options);
+      PartitionedEngine::Create(overlapping, options, devices->get());
   ASSERT_FALSE(multi.ok());
   EXPECT_EQ(multi.status().code(), StatusCode::kInvalidArgument);
+  // Nothing was transferred before the validation failed.
+  EXPECT_EQ(devices->get()->allocated_bytes(), 0u);
 
-  // The same validation guards the sequential multiple-loading engine.
-  auto multi_load = MultiLoadEngine::Create(overlapping, options);
+  // The same validation guards the swapped (multiple-loading) placement.
+  auto multi_load = PartitionedEngine::Create(overlapping, options);
   ASSERT_FALSE(multi_load.ok());
   EXPECT_EQ(multi_load.status().code(), StatusCode::kInvalidArgument);
 }
@@ -168,7 +175,7 @@ TEST(MultiDeviceEngineTest, OverlapHiddenBehindEmptyPartRejected) {
   MatchEngineOptions options;
   options.k = 3;
   options.device = test::SharedTestDevice(2);
-  auto multi_load = MultiLoadEngine::Create(parts, options);
+  auto multi_load = PartitionedEngine::Create(parts, options);
   ASSERT_FALSE(multi_load.ok());
   EXPECT_EQ(multi_load.status().code(), StatusCode::kInvalidArgument);
 }
@@ -204,7 +211,7 @@ TEST(MultiDeviceEngineTest, ResourceExhaustedWhenPartsExceedADevice) {
   MatchEngineOptions options;
   options.k = 5;
   auto multi =
-      MultiDeviceEngine::Create(PartsOf(*sharded), devices->get(), options);
+      PartitionedEngine::Create(PartsOf(*sharded), options, devices->get());
   ASSERT_FALSE(multi.ok());
   EXPECT_EQ(multi.status().code(), StatusCode::kResourceExhausted);
   // The partially built engines unwound cleanly.

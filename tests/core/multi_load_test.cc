@@ -1,4 +1,7 @@
-#include "core/multi_load_engine.h"
+/// Multiple loading (Section III-D): PartitionedEngine with every part
+/// swapped through one device per batch.
+
+#include "core/partitioned_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -38,9 +41,15 @@ std::vector<InvertedIndex> Shard(const InvertedIndex& full, uint32_t parts,
 TEST(MultiLoadEngineTest, CreateRejectsBadParts) {
   MatchEngineOptions options;
   options.device = test::SharedTestDevice(4);
-  EXPECT_FALSE(MultiLoadEngine::Create({}, options).ok());
+  EXPECT_FALSE(PartitionedEngine::Create({}, options).ok());
   EXPECT_FALSE(
-      MultiLoadEngine::Create({IndexPart{nullptr, 0}}, options).ok());
+      PartitionedEngine::Create({IndexPart{nullptr, 0}}, options).ok());
+  // A placement needs a device set to name devices of.
+  auto workload = test::MakeRandomWorkload(100, 10, 4, 1, 2, 30);
+  const uint32_t placement[] = {0};
+  EXPECT_FALSE(PartitionedEngine::Create({IndexPart{&workload.index, 0}},
+                                         options, nullptr, placement)
+                   .ok());
 }
 
 TEST(MultiLoadEngineTest, MergedResultEqualsSingleEngine) {
@@ -59,8 +68,11 @@ TEST(MultiLoadEngineTest, MergedResultEqualsSingleEngine) {
   for (size_t p = 0; p < shards.size(); ++p) {
     parts.push_back(IndexPart{&shards[p], offsets[p]});
   }
-  auto multi = MultiLoadEngine::Create(parts, options);
+  auto multi = PartitionedEngine::Create(parts, options);
   ASSERT_TRUE(multi.ok());
+  EXPECT_TRUE((*multi)->swapped());
+  EXPECT_EQ((*multi)->num_parts(), 3u);
+  EXPECT_EQ((*multi)->num_devices(), 1u);
   auto merged = (*multi)->ExecuteBatch(workload.queries);
   ASSERT_TRUE(merged.ok());
 
@@ -89,7 +101,7 @@ TEST(MultiLoadEngineTest, GlobalIdsMappedThroughOffsets) {
   for (size_t p = 0; p < shards.size(); ++p) {
     parts.push_back(IndexPart{&shards[p], offsets[p]});
   }
-  auto multi = MultiLoadEngine::Create(parts, options);
+  auto multi = PartitionedEngine::Create(parts, options);
   ASSERT_TRUE(multi.ok());
   auto results = (*multi)->ExecuteBatch(workload.queries);
   ASSERT_TRUE(results.ok());
@@ -124,8 +136,9 @@ TEST(MultiLoadEngineTest, WorksWhenDeviceFitsOnlyOnePart) {
   for (size_t p = 0; p < shards.size(); ++p) {
     parts.push_back(IndexPart{&shards[p], offsets[p]});
   }
-  auto multi = MultiLoadEngine::Create(parts, options);
+  auto multi = PartitionedEngine::Create(parts, options);
   ASSERT_TRUE(multi.ok());
+  EXPECT_EQ(device.allocated_bytes(), 0u);  // nothing resident between batches
   auto results = (*multi)->ExecuteBatch(workload.queries);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   for (size_t q = 0; q < results->size(); ++q) {
@@ -135,6 +148,19 @@ TEST(MultiLoadEngineTest, WorksWhenDeviceFitsOnlyOnePart) {
               test::TopKCountMultiset(counts, 5));
   }
   EXPECT_EQ(device.allocated_bytes(), 0u);  // everything swapped back out
+
+  // The prepare stage of swapped parts is host-only: it touches no device
+  // memory, and the staged batch answers like the unstaged one.
+  auto staged = (*multi)->Prepare(workload.queries);
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  EXPECT_EQ(device.allocated_bytes(), 0u);
+  auto staged_results = (*multi)->ExecuteStaged(std::move(*staged));
+  ASSERT_TRUE(staged_results.ok()) << staged_results.status().ToString();
+  for (size_t q = 0; q < results->size(); ++q) {
+    EXPECT_EQ((*staged_results)[q].entries, (*results)[q].entries);
+    EXPECT_EQ((*staged_results)[q].threshold, (*results)[q].threshold);
+  }
+  EXPECT_EQ(device.allocated_bytes(), 0u);
 }
 
 TEST(MultiLoadEngineTest, ProfileAccumulatesAcrossParts) {
@@ -148,13 +174,21 @@ TEST(MultiLoadEngineTest, ProfileAccumulatesAcrossParts) {
   for (size_t p = 0; p < shards.size(); ++p) {
     parts.push_back(IndexPart{&shards[p], offsets[p]});
   }
-  auto multi = MultiLoadEngine::Create(parts, options);
+  auto multi = PartitionedEngine::Create(parts, options);
   ASSERT_TRUE(multi.ok());
+  // Nothing moves before the first batch: parts are swapped in per batch.
+  EXPECT_EQ((*multi)->profile().Combined().index_bytes, 0u);
   ASSERT_TRUE((*multi)->ExecuteBatch(workload.queries).ok());
-  const MultiLoadProfile& p = (*multi)->profile();
-  EXPECT_GT(p.index_transfer_s, 0.0);
-  EXPECT_GT(p.per_part.index_bytes, 0u);
-  EXPECT_GE(p.merge_s, 0.0);
+  const PartitionedProfile first = (*multi)->profile();
+  ASSERT_EQ(first.per_device.size(), 1u);  // the one base device
+  EXPECT_GT(first.Combined().index_transfer_s, 0.0);
+  EXPECT_EQ(first.Combined().index_bytes, workload.index.postings_bytes());
+  EXPECT_GE(first.merge_s, 0.0);
+  // Index transfer counts every swap-in: a second batch moves every part
+  // again.
+  ASSERT_TRUE((*multi)->ExecuteBatch(workload.queries).ok());
+  EXPECT_EQ((*multi)->profile().Combined().index_bytes,
+            2 * first.Combined().index_bytes);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include "test_util.h"
 
 #include "baselines/appgram_engine.h"
-#include "core/multi_load_engine.h"
+#include "core/partitioned_engine.h"
 #include "data/documents.h"
 #include "data/points.h"
 #include "data/relational_data.h"

@@ -254,8 +254,11 @@ TEST(FaultInjectionTest, DestructorWaitsForInFlightScatter) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   Result<std::vector<QueryResult>> in_flight = Status::Internal("unset");
-  std::thread caller([&] {
-    in_flight = (*engine)->ExecuteBatch(fixture.workload.queries);
+  // The caller holds the raw engine, taken before it starts: reading the
+  // unique_ptr from the thread would race with the reset below.
+  RemoteEngine* raw = engine->get();
+  std::thread caller([&, raw] {
+    in_flight = raw->ExecuteBatch(fixture.workload.queries);
   });
   // Give the scatter a moment to launch, then destroy the engine while the
   // only attempt is still sleeping. The destructor must wait the batch out
