@@ -32,6 +32,7 @@ void CountIncrementBatchScalar(uint32_t* counts, const uint32_t* oids,
 void BitmapIncrementBatchExclusiveScalar(const BitmapParams& p,
                                          const uint32_t* oids, uint32_t n,
                                          uint32_t* vals) {
+  if (IncrementBatchDirectExclusive(p, oids, n, vals)) return;
   for (uint32_t i = 0; i < n; ++i) {
     vals[i] = ScalarIncrementExclusive(p, oids[i]);
   }

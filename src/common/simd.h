@@ -3,8 +3,8 @@
 /// \file simd.h
 /// Runtime-dispatched SIMD kernels for the count-and-threshold hot path.
 ///
-/// The match kernel's inner loop is "increment a packed saturating counter
-/// per posting" (Bitmap Counter, Section III-C) or "fetch_add a full-width
+/// The match kernel's inner loop is "increment a saturating counter per
+/// posting" (Bitmap Counter, Section III-C) or "fetch_add a full-width
 /// counter per posting" (Count Table, Appendix A). Both are exposed here as
 /// batch operations behind a function-pointer table selected once at
 /// startup: AVX2 on x86, NEON on aarch64, and a portable scalar arm that is
@@ -14,13 +14,19 @@
 /// Batch semantics are defined as *exactly* the sequential per-element
 /// semantics: `bitmap_increment_batch(p, oids, n, vals)` must leave the
 /// word array and `vals` bit-identical to n in-order calls of the scalar
-/// increment. Vector arms exploit commutativity only inside a single
-/// atomic word update (one CAS per touched word, with an in-register/
-/// in-run conflict pass producing per-lane sequential post values), so the
-/// equality holds even under concurrent blocks word-for-word at quiesce.
+/// increment. The shared (atomic) arms exploit commutativity only inside a
+/// single atomic word update (one CAS per touched word, with an
+/// in-register/in-run conflict pass producing per-lane sequential post
+/// values), so the equality holds even under concurrent blocks
+/// word-for-word at quiesce. The single-writer arms address counters of 8,
+/// 16 or 32 bits directly as bytes, halfwords or words of the same array
+/// (IncrementBatchDirectExclusive) and keep the packed word update for
+/// the 1-, 2- and 4-bit widths.
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace genie {
 namespace simd {
@@ -59,12 +65,14 @@ struct Ops {
                                 uint32_t n) = nullptr;
 
   /// Single-writer variants: same results as the shared kernels above, but
-  /// with plain (non-atomic) read-modify-write word updates. Legal only
-  /// when the caller guarantees no other thread touches this counter array
-  /// while the batch runs — the engine proves that whenever a query's
-  /// postings all land in one block (the default, unsplit schedule), since
-  /// each query owns a private arena and a block's threads run on one
-  /// worker. Dropping the lock prefix removes the dominant per-posting cost.
+  /// with plain (non-atomic) updates. Legal only when the caller guarantees
+  /// no other thread touches this counter array while the batch runs — the
+  /// engine proves that whenever a query's postings all land in one block
+  /// (the default, unsplit schedule), since each query owns a private arena
+  /// and a block's threads run on one worker. The bitmap variant updates
+  /// 8-, 16- and 32-bit counters in place as whole elements
+  /// (IncrementBatchDirectExclusive) and sub-byte widths with a plain
+  /// packed read-modify-write per word.
   void (*bitmap_increment_batch_exclusive)(const BitmapParams& params,
                                            const uint32_t* oids, uint32_t n,
                                            uint32_t* vals) = nullptr;
@@ -126,6 +134,46 @@ inline uint32_t ScalarIncrementExclusive(const BitmapParams& p, uint32_t oid) {
   if (field >= p.cap) return 0;  // saturated
   p.words[word_idx] = cur + (1u << shift);
   return field + 1;
+}
+
+/// Single-writer increments of `oids[0..n)` for counters that fill whole
+/// bytes. On a little-endian host counter `oid` of an 8-, 16- or 32-bit
+/// array sits in bytes [oid * bytes, (oid + 1) * bytes) of the word array —
+/// exactly where the packed layout puts it — so each posting is one
+/// element load, a compare with the cap and one element store, through
+/// memcpy so the narrow access never aliases the uint32_t words. Same
+/// saturation and `vals` contract as ScalarIncrementExclusive. Returns
+/// false, touching nothing, for the packed 1-, 2- and 4-bit widths and on
+/// big-endian hosts; the calling arm then runs its packed path.
+inline bool IncrementBatchDirectExclusive(const BitmapParams& p,
+                                          const uint32_t* oids, uint32_t n,
+                                          uint32_t* vals) {
+  if constexpr (std::endian::native != std::endian::little) {
+    return false;
+  } else {
+    // Locals, not `p`'s fields: the byte stores may alias `p` itself.
+    unsigned char* const bytes = reinterpret_cast<unsigned char*>(p.words);
+    const uint32_t cap = p.cap;
+    const auto run = [&](auto element) {
+      using T = decltype(element);
+      for (uint32_t i = 0; i < n; ++i) {
+        unsigned char* const slot =
+            bytes + static_cast<uint64_t>(oids[i]) * sizeof(T);
+        T cur;
+        std::memcpy(&cur, slot, sizeof(T));
+        const bool room = cur < cap;
+        const T next = static_cast<T>(cur + room);
+        std::memcpy(slot, &next, sizeof(T));
+        vals[i] = room ? static_cast<uint32_t>(cur) + 1 : 0;
+      }
+    };
+    switch (p.bits) {
+      case 8: run(uint8_t{}); return true;
+      case 16: run(uint16_t{}); return true;
+      case 32: run(uint32_t{}); return true;
+      default: return false;
+    }
+  }
 }
 
 /// Conflict pass shared by every arm: applies `count` increments — all

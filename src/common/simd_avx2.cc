@@ -93,12 +93,12 @@ void BitmapIncrementBatchAvx2(const BitmapParams& p, const uint32_t* oids,
 void BitmapIncrementBatchExclusiveAvx2(const BitmapParams& p,
                                        const uint32_t* oids, uint32_t n,
                                        uint32_t* vals) {
-  // Without the lock prefix the bottleneck shifts from the atomic to plain
-  // load/shift/store dependency chains, which out-of-order cores already
-  // overlap well. No conflict pass is needed here: a single writer doing
-  // in-order read-modify-writes gets sequential semantics for free even
-  // when consecutive lanes share a word (store-to-load forwarding), so the
-  // vector part is just the index math for 8 lanes at a time.
+  if (IncrementBatchDirectExclusive(p, oids, n, vals)) return;
+  // Packed 1-, 2- and 4-bit counters. No conflict pass is needed here: a
+  // single writer doing in-order read-modify-writes gets sequential
+  // semantics for free even when consecutive lanes share a word
+  // (store-to-load forwarding), so the vector part is just the index math
+  // for 8 lanes at a time.
   const __m128i word_shift = _mm_cvtsi32_si128(static_cast<int>(p.log_per_word));
   const __m128i bits_shift = _mm_cvtsi32_si128(__builtin_ctz(p.bits));
   const __m256i pos_mask =

@@ -3,7 +3,8 @@
 /// is baseline — no extra target flags needed). Mirrors the AVX2 arm at
 /// 4 lanes: vectorial word/shift index math, then a conflict pass that
 /// commits each run of same-word lanes with one word update (CAS for the
-/// shared arm, plain read-modify-write for the exclusive arm).
+/// shared arm, plain read-modify-write for the exclusive arm's packed
+/// sub-byte widths; its 8/16/32-bit widths take the direct path).
 
 #include "common/simd.h"
 
@@ -68,6 +69,7 @@ void BitmapIncrementBatchNeon(const BitmapParams& p, const uint32_t* oids,
 void BitmapIncrementBatchExclusiveNeon(const BitmapParams& p,
                                        const uint32_t* oids, uint32_t n,
                                        uint32_t* vals) {
+  if (IncrementBatchDirectExclusive(p, oids, n, vals)) return;
   BitmapIncrementBatchNeonImpl(
       p, oids, n, vals,
       [](const BitmapParams& params, uint64_t word, const uint32_t* sh,

@@ -189,15 +189,6 @@ class CpqHashTableView {
     return false;
   }
 
-  /// Prefetch the home slot of `id` into cache with write intent. The
-  /// per-query table is far larger than L1 and touched in hash order, so
-  /// an Upsert's first probe is usually a cold miss; issuing this a fixed
-  /// distance ahead of the gate pass hides that latency (Robin Hood keeps
-  /// probe runs short, so the home line covers almost every probe).
-  void PrefetchSlot(ObjectId id) const {
-    __builtin_prefetch(&slots_[Hash(id) & mask_], 1, 3);
-  }
-
   /// Probe distance ("age") of a key if it were resident at `slot`.
   uint32_t ProbeDistance(ObjectId id, uint32_t slot) const {
     return (slot - (Hash(id) & mask_)) & mask_;

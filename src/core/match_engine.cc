@@ -17,12 +17,13 @@ namespace genie {
 namespace {
 
 /// Postings consumed per batched counter-update call inside the match
-/// kernel: several of the batch kernels' internal staging chunks, so their
-/// compute-ahead-and-prefetch pipelining covers most lanes, while the
-/// per-lane value scratch (1 KiB) stays comfortably on the stack. The gate
-/// check runs once per batch's values, so AT observed by lane i can lag
-/// in-order processing by at most kMatchBatch promotions — AT is monotone,
-/// so that only admits extra (never missed) hash-table candidates.
+/// kernel; the per-lane value scratch (1 KiB) stays on the stack. Batching
+/// moves no promotion: each lane's post-increment value is the one it would
+/// have read in order, and CpqView::UpdateBatch's gate pass checks the
+/// lanes in order against the current AT, so on the single-writer schedule
+/// every lane sees exactly the AT of the same postings fed one at a time
+/// through CpqView::Update. (Under the split schedule, blocks sharing a
+/// c-PQ interleave their updates either way.)
 constexpr uint32_t kMatchBatch = 256;
 
 constexpr std::string_view kCpqOverflowMessage =
@@ -441,8 +442,8 @@ Result<std::vector<QueryResult>> MatchEngine::ExecuteStaged(
           {num_tasks, block_dim}, [&](const sim::ThreadCtx& ctx) {
             // Threads of a sim block run sequentially on one worker, so
             // one contiguous pass by a single thread beats splitting the
-            // range: full-length batches for the vector arms, an unbroken
-            // postings read stream, and uninterrupted prefetch pipelining.
+            // range: full-length batches for the vector arms and an
+            // unbroken postings read stream.
             if (ctx.thread_idx != 0) return;
             const uint32_t t = ctx.block_idx;
             CpqView cpq = cpq_for(task_query[t]);

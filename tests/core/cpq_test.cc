@@ -1,13 +1,16 @@
 #include "core/count_priority_queue.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 
 namespace genie {
 namespace {
@@ -186,6 +189,149 @@ TEST(CpqTest, ConcurrentUpdatesMatchBruteForce) {
     EXPECT_EQ(result.entries[i].count, truth[result.entries[i].id]);
   }
 }
+
+/// A posting stream shaped like one query's inverted lists: 48 sorted
+/// lists, each a run of mostly ascending ids with back-to-back repeats, so
+/// neighbouring lanes share counter words. Ids [0, 16) are in every list,
+/// each 1-12 times, so their counts run well past a cap of 200.
+std::vector<ObjectId> ListShapedStream(uint32_t num_objects, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ObjectId> stream;
+  for (uint32_t list = 0; list < 48; ++list) {
+    std::vector<ObjectId> ids;
+    for (ObjectId hot = 0; hot < 16; ++hot) {
+      const uint64_t repeats = 1 + rng.UniformU64(12);
+      for (uint64_t r = 0; r < repeats; ++r) ids.push_back(hot);
+    }
+    ObjectId id = static_cast<ObjectId>(rng.UniformU64(num_objects));
+    const uint64_t length = 64 + rng.UniformU64(512);
+    for (uint64_t i = 0; i < length && id < num_objects; ++i) {
+      ids.push_back(id);
+      id += static_cast<ObjectId>(rng.UniformU64(3));  // 0 repeats the id
+    }
+    std::sort(ids.begin(), ids.end());
+    stream.insert(stream.end(), ids.begin(), ids.end());
+  }
+  return stream;
+}
+
+struct UpdateBatchParams {
+  uint32_t max_count;  // 15: packed 4-bit counters; 200: 8-bit, direct
+  bool exclusive;      // single-writer branch vs the shared (atomic) one
+  bool masked;         // with an ExcludedMask
+};
+
+class CpqUpdateBatchTest
+    : public ::testing::TestWithParam<UpdateBatchParams> {};
+
+/// UpdateBatch must leave the c-PQ exactly as the same postings fed one at
+/// a time through Update: bitmap words, ZipperArray, AT, every hash-table
+/// slot and the probe statistics. k is small, so AT rises inside batches
+/// and a lane that passes the batch's first AT read can still fail its
+/// in-order check; the hot ids saturate their counters.
+TEST_P(CpqUpdateBatchTest, MatchesSequentialUpdate) {
+  const UpdateBatchParams p = GetParam();
+  const uint32_t num_objects = 3000, k = 4;
+  const std::vector<ObjectId> stream = ListShapedStream(num_objects, 17);
+  // Id 0 must hit its cap, so saturated lanes show up inside batches.
+  ASSERT_GT(static_cast<uint32_t>(
+                std::count(stream.begin(), stream.end(), ObjectId{0})),
+            p.max_count + 8);
+  std::vector<ObjectId> excluded;
+  for (ObjectId id = 3; id < num_objects; id += 7) excluded.push_back(id);
+  const std::vector<uint32_t> mask_words =
+      ExcludedMask::Build(excluded, num_objects);
+  const ExcludedMask mask =
+      p.masked ? ExcludedMask(mask_words.data()) : ExcludedMask();
+  const auto with_mask = [&](CpqView view) {
+    return CpqView(view.bitmap(), view.gate(), view.table(),
+                   /*robin_hood_expire=*/true, mask);
+  };
+
+  CpqHostStorage ref_storage(num_objects, k, p.max_count);
+  CpqView ref = with_mask(ref_storage.view());
+  HashTableStats ref_stats;
+  for (const ObjectId oid : stream) {
+    ASSERT_TRUE(ref.Update(oid, &ref_stats));
+  }
+  const CpqLayout& layout = ref_storage.layout();
+  const auto words = [&](const CpqView& view) {
+    const uint32_t* first = view.bitmap().SimdParams().words;
+    return std::vector<uint32_t>(first, first + layout.bitmap_words);
+  };
+  const auto zipper = [&](const CpqView& view) {
+    std::vector<uint32_t> za;
+    for (uint32_t v = 1; v <= p.max_count + 1; ++v) {
+      za.push_back(view.gate().zipper(v));
+    }
+    return za;
+  };
+  const auto slots = [&](const CpqView& view) {
+    std::vector<uint64_t> all;
+    for (uint32_t i = 0; i < view.table().capacity(); ++i) {
+      all.push_back(view.table().LoadSlot(i));
+    }
+    return all;
+  };
+  EXPECT_EQ(ref.bitmap().Get(0), p.max_count);
+
+  for (const simd::Arch arch :
+       {simd::Arch::kScalar, simd::BestSupportedArch()}) {
+    SCOPED_TRACE(simd::ArchName(arch));
+    const simd::Ops& ops = simd::OpsForArch(arch);
+    CpqHostStorage got_storage(num_objects, k, p.max_count);
+    CpqView got = with_mask(got_storage.view());
+    HashTableStats got_stats;
+    std::vector<uint32_t> vals(256);
+    uint32_t batches_raising_at = 0;
+    size_t pos = 0;
+    for (size_t call = 0; pos < stream.size(); ++call) {
+      constexpr uint32_t kSizes[] = {1, 7, 8, 9, 64, 255, 256, 3, 100};
+      const uint32_t len = static_cast<uint32_t>(std::min<size_t>(
+          kSizes[call % std::size(kSizes)], stream.size() - pos));
+      const uint32_t at_before = got.gate().audit_threshold();
+      const bool ok =
+          p.masked ? got.UpdateBatch<true>(ops, stream.data() + pos, len,
+                                           vals.data(), &got_stats,
+                                           p.exclusive)
+                   : got.UpdateBatch<false>(ops, stream.data() + pos, len,
+                                            vals.data(), &got_stats,
+                                            p.exclusive);
+      ASSERT_TRUE(ok);
+      if (len > 1 && got.gate().audit_threshold() > at_before) {
+        ++batches_raising_at;
+      }
+      pos += len;
+    }
+    EXPECT_GT(batches_raising_at, 0u);
+    EXPECT_EQ(words(ref), words(got));
+    EXPECT_EQ(zipper(ref), zipper(got));
+    EXPECT_EQ(ref.gate().audit_threshold(), got.gate().audit_threshold());
+    EXPECT_EQ(slots(ref), slots(got));
+    EXPECT_EQ(ref_stats.upserts, got_stats.upserts);
+    EXPECT_EQ(ref_stats.probes, got_stats.probes);
+    EXPECT_EQ(ref_stats.displacements, got_stats.displacements);
+    EXPECT_EQ(ref_stats.expired_overwrites, got_stats.expired_overwrites);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Branches, CpqUpdateBatchTest,
+    ::testing::Values(UpdateBatchParams{15, true, false},
+                      UpdateBatchParams{15, true, true},
+                      UpdateBatchParams{15, false, false},
+                      UpdateBatchParams{15, false, true},
+                      UpdateBatchParams{200, true, false},
+                      UpdateBatchParams{200, true, true},
+                      UpdateBatchParams{200, false, false},
+                      UpdateBatchParams{200, false, true}),
+    [](const ::testing::TestParamInfo<UpdateBatchParams>& info) {
+      return "Bits" +
+             std::to_string(BitmapCounterView::ChooseBits(
+                 info.param.max_count)) +
+             (info.param.exclusive ? "Exclusive" : "Shared") +
+             (info.param.masked ? "Masked" : "Unmasked");
+    });
 
 TEST(CpqLayoutTest, DeviceBytesComposition) {
   const CpqLayout layout = CpqLayout::Make(1000, 10, 15, 4);

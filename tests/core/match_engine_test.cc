@@ -1,9 +1,9 @@
 #include "core/match_engine.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -394,18 +394,27 @@ TEST(MatchEngineTest, FaultOnFirstD2HCopyAlsoPropagates) {
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
 }
 
+/// Entry-for-entry identity: ids, counts, order and threshold.
+void ExpectIdenticalResults(const std::vector<QueryResult>& expected,
+                            const std::vector<QueryResult>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t q = 0; q < expected.size(); ++q) {
+    EXPECT_EQ(expected[q].threshold, actual[q].threshold) << "query " << q;
+    EXPECT_EQ(expected[q].entries, actual[q].entries) << "query " << q;
+  }
+}
+
 TEST(MatchEngineTest, ScalarAndSimdArmsBitIdentical) {
   // The tentpole's gate: forcing the dispatch arm must not change what the
-  // match-count model determines. The full-scan selectors are deterministic
-  // end to end, so they must agree entry for entry (ids, counts, order,
-  // thresholds). The c-PQ races blocks of one query across workers, so
-  // boundary-tie membership and slot order legitimately vary between ANY
-  // two runs; there the arms must agree on everything the model pins:
-  // thresholds, the count profile, and every above-boundary id+count.
+  // match-count model determines. Under the default unsplit schedule one
+  // block owns each query's counters — and its c-PQ — so every selector is
+  // deterministic end to end, and the arms must agree entry for entry
+  // (ids, counts, order, thresholds).
   auto workload = test::MakeRandomWorkload(1500, 300, 14, 12, 10, 33);
   for (const auto selector : {MatchEngineOptions::Selector::kCpq,
                               MatchEngineOptions::Selector::kCountTableSpq,
                               MatchEngineOptions::Selector::kBucketSelect}) {
+    SCOPED_TRACE("selector=" + std::to_string(static_cast<int>(selector)));
     MatchEngineOptions options = BaseOptions(10);
     options.selector = selector;
     std::vector<std::vector<QueryResult>> per_arm;
@@ -418,31 +427,41 @@ TEST(MatchEngineTest, ScalarAndSimdArmsBitIdentical) {
       ASSERT_TRUE(results.ok()) << results.status().ToString();
       per_arm.push_back(*std::move(results));
     }
-    ASSERT_EQ(per_arm.size(), 2u);
-    const bool deterministic =
-        selector != MatchEngineOptions::Selector::kCpq;
-    for (size_t q = 0; q < per_arm[0].size(); ++q) {
-      const QueryResult& scalar = per_arm[0][q];
-      const QueryResult& simd = per_arm[1][q];
-      EXPECT_EQ(scalar.threshold, simd.threshold);
-      ASSERT_EQ(scalar.entries.size(), simd.entries.size());
-      if (deterministic) {
-        for (size_t e = 0; e < scalar.entries.size(); ++e) {
-          EXPECT_EQ(scalar.entries[e].id, simd.entries[e].id);
-          EXPECT_EQ(scalar.entries[e].count, simd.entries[e].count);
-        }
-      } else {
-        EXPECT_EQ(test::EntryCountMultiset(scalar),
-                  test::EntryCountMultiset(simd));
-        auto above = [](const QueryResult& r) {
-          std::map<ObjectId, uint32_t> ids;
-          for (const TopKEntry& e : r.entries) {
-            if (e.count > r.threshold) ids.emplace(e.id, e.count);
-          }
-          return ids;
-        };
-        EXPECT_EQ(above(scalar), above(simd));
-      }
+    ExpectIdenticalResults(per_arm[0], per_arm[1]);
+  }
+}
+
+TEST(MatchEngineTest, CounterWidthDoesNotChangeAnswers) {
+  // Twelve single-keyword items per query keep every true count <= 12, so
+  // count bounds 15, 16, 256 and 65,536 (4-, 8-, 16- and 32-bit counters:
+  // the packed path, then the direct-addressed one at each width) all count
+  // exactly and must give the same answers entry for entry.
+  auto workload = test::MakeRandomWorkload(1500, 300, 14, 12, 12, 35);
+  for (const auto selector : {MatchEngineOptions::Selector::kCpq,
+                              MatchEngineOptions::Selector::kBucketSelect}) {
+    SCOPED_TRACE("selector=" + std::to_string(static_cast<int>(selector)));
+    std::vector<std::vector<QueryResult>> per_width;
+    for (const uint32_t max_count : {15u, 16u, 256u, 65'536u}) {
+      MatchEngineOptions options = BaseOptions(10);
+      options.selector = selector;
+      options.max_count = max_count;
+      auto engine = MatchEngine::Create(&workload.index, options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      auto results = (*engine)->ExecuteBatch(workload.queries);
+      ASSERT_TRUE(results.ok()) << results.status().ToString();
+      per_width.push_back(*std::move(results));
+    }
+    for (size_t q = 0; q < workload.queries.size(); ++q) {
+      EXPECT_EQ(test::EntryCountMultiset(per_width[0][q]),
+                test::TopKCountMultiset(
+                    test::BruteForceCounts(workload.index,
+                                           workload.queries[q]),
+                    10))
+          << "query " << q;
+    }
+    for (size_t w = 1; w < per_width.size(); ++w) {
+      SCOPED_TRACE("width #" + std::to_string(w));
+      ExpectIdenticalResults(per_width[0], per_width[w]);
     }
   }
 }
