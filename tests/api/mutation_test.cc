@@ -808,6 +808,188 @@ TEST(MutationTest, MutatedSequencesEngineRoundTripsAsV3) {
   std::remove(path.c_str());
 }
 
+TEST(MutationTest, MutatedSetsEngineRoundTripsAsV3) {
+  Rng rng(227);
+  std::vector<std::vector<uint32_t>> sets(120);
+  for (auto& set : sets) {
+    for (int i = 0; i < 10; ++i) {
+      set.push_back(static_cast<uint32_t>(rng.UniformU64(3000)));
+    }
+  }
+  std::vector<std::vector<uint32_t>> inserted(6);
+  for (auto& set : inserted) {
+    for (int i = 0; i < 10; ++i) {
+      set.push_back(static_cast<uint32_t>(rng.UniformU64(3000)));
+    }
+  }
+  std::vector<std::vector<uint32_t>> queries(sets.begin(), sets.begin() + 4);
+  queries.insert(queries.end(), inserted.begin(), inserted.end());
+
+  auto make_config = [&] {
+    return EngineConfig()
+        .Sets(&sets)
+        .K(3)
+        .HashFunctions(24)
+        .RehashDomain(256)
+        .ExactRerank(true)  // reranking must read restored appended sets
+        .DeltaSealThreshold(4)
+        .AutoCompactSegments(0)
+        .Device(test::SharedTestDevice(2));
+  };
+  auto engine = Engine::Create(make_config());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto ids = (*engine)->Insert(InsertRequest::Sets(inserted));
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ((*ids)[0], 120u);
+  ASSERT_TRUE((*engine)->Remove(std::vector<ObjectId>{5, 122}).ok());
+
+  auto reference = (*engine)->Search(SearchRequest::Sets(queries));
+  ASSERT_TRUE(reference.ok());
+
+  const std::string path = TempPath("genie_mutation_v3_sets.gnb");
+  ASSERT_TRUE((*engine)->Save(path).ok());
+  EXPECT_EQ(BundleVersion(path), 3u);
+
+  auto reopened = Engine::Open(path, make_config());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->num_objects(), 126u);
+  auto result = (*reopened)->Search(SearchRequest::Sets(queries));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameAnswers(*result, *reference, "sets v3 reopen");
+  // An inserted set is its own exact Jaccard neighbour.
+  ASSERT_FALSE(result->queries[4].hits.empty());
+  EXPECT_EQ(result->queries[4].hits[0].id, 120u);
+  EXPECT_DOUBLE_EQ(result->queries[4].hits[0].score, 1.0);
+
+  auto next = (*reopened)->Insert(InsertRequest::Sets(
+      std::span<const std::vector<uint32_t>>(inserted).first(1)));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ((*next)[0], 126u);
+  EXPECT_EQ((*reopened)->Remove(std::vector<ObjectId>{122}).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(MutationTest, MutatedDocumentsEngineRoundTripsAsV3) {
+  data::DocumentDatasetOptions data_options;
+  data_options.num_documents = 200;
+  data_options.vocabulary = 1200;
+  data_options.seed = 228;
+  auto corpus = data::MakeDocuments(data_options);
+
+  auto make_config = [&] {
+    return EngineConfig()
+        .Documents(&corpus)
+        .K(3)
+        .DeltaSealThreshold(2)
+        .AutoCompactSegments(0)
+        .Device(test::SharedTestDevice(2));
+  };
+  auto engine = Engine::Create(make_config());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // Tokens beyond the base vocabulary: the grown token universe must be
+  // persisted for the reopened engine to compile these queries.
+  std::vector<std::vector<uint32_t>> inserted{{2000, 2001, 2002, 7, 11},
+                                              {2100, 2101, 2102, 2103},
+                                              {2200, 2201, 13}};
+  auto ids = (*engine)->Insert(InsertRequest::Documents(inserted));
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ((*ids)[0], 200u);
+  ASSERT_TRUE((*engine)->Remove(std::vector<ObjectId>{9, 201}).ok());
+
+  std::vector<std::vector<uint32_t>> queries(corpus.begin(),
+                                             corpus.begin() + 4);
+  queries.insert(queries.end(), inserted.begin(), inserted.end());
+  auto reference = (*engine)->Search(SearchRequest::Documents(queries));
+  ASSERT_TRUE(reference.ok());
+
+  const std::string path = TempPath("genie_mutation_v3_documents.gnb");
+  ASSERT_TRUE((*engine)->Save(path).ok());
+  EXPECT_EQ(BundleVersion(path), 3u);
+
+  auto reopened = Engine::Open(path, make_config());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->num_objects(), 203u);
+  auto result = (*reopened)->Search(SearchRequest::Documents(queries));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameAnswers(*result, *reference, "documents v3 reopen");
+  ASSERT_FALSE(result->queries[4].hits.empty());
+  EXPECT_EQ(result->queries[4].hits[0].id, 200u);
+  EXPECT_EQ(result->queries[4].hits[0].match_count, 5u);
+  EXPECT_FALSE(HitsContain(result->queries[5], 201));  // tombstone held
+
+  auto next = (*reopened)->Insert(InsertRequest::Documents(
+      std::span<const std::vector<uint32_t>>(inserted).first(1)));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ((*next)[0], 203u);
+  EXPECT_EQ((*reopened)->Remove(std::vector<ObjectId>{201}).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(MutationTest, MutatedRelationalEngineRoundTripsAsV3) {
+  data::RelationalDatasetOptions data_options;
+  data_options.num_rows = 500;
+  data_options.numeric_columns = 3;
+  data_options.numeric_buckets = 64;
+  data_options.categorical_columns = 2;
+  data_options.categorical_cardinality = 6;
+  data_options.seed = 229;
+  auto table = data::MakeRelationalTable(data_options);
+
+  auto make_config = [&] {
+    return EngineConfig()
+        .Table(&table)
+        .K(8)
+        .DeltaSealThreshold(2)
+        .AutoCompactSegments(0)
+        .Device(test::SharedTestDevice(2));
+  };
+  auto engine = Engine::Create(make_config());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::vector<std::vector<uint32_t>> rows{
+      {63, 0, 63, 5, 5}, {0, 63, 0, 0, 0}, {31, 31, 31, 2, 3}};
+  auto ids = (*engine)->Insert(InsertRequest::Rows(rows));
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ((*ids)[0], 500u);
+  ASSERT_TRUE((*engine)->Remove(std::vector<ObjectId>{11, 501}).ok());
+
+  // Range queries pinned to each inserted row's exact values.
+  std::vector<sa::RangeQuery> queries(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (uint32_t c = 0; c < 5; ++c) {
+      queries[r].Add(c, rows[r][c], rows[r][c]);
+    }
+  }
+  auto reference = (*engine)->Search(SearchRequest::Ranges(queries));
+  ASSERT_TRUE(reference.ok());
+
+  const std::string path = TempPath("genie_mutation_v3_relational.gnb");
+  ASSERT_TRUE((*engine)->Save(path).ok());
+  EXPECT_EQ(BundleVersion(path), 3u);
+
+  auto reopened = Engine::Open(path, make_config());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->num_objects(), 503u);
+  auto result = (*reopened)->Search(SearchRequest::Ranges(queries));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameAnswers(*result, *reference, "relational v3 reopen");
+  ASSERT_FALSE(result->queries[0].hits.empty());
+  EXPECT_EQ(result->queries[0].hits[0].id, 500u);
+  EXPECT_EQ(result->queries[0].hits[0].match_count, 5u);
+  EXPECT_FALSE(HitsContain(result->queries[1], 501));  // tombstone held
+
+  auto next = (*reopened)->Insert(InsertRequest::Rows(
+      std::span<const std::vector<uint32_t>>(rows).first(1)));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ((*next)[0], 503u);
+  EXPECT_EQ((*reopened)->Remove(std::vector<ObjectId>{501}).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(MutationTest, FrozenEnginesSaveAsV3WithEmptyMutationSection) {
   auto workload = test::MakeRandomWorkload(100, 20, 4, 2, 3, 224);
   auto engine = Engine::Create(EngineConfig()
