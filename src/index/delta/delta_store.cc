@@ -1,6 +1,7 @@
 #include "index/delta/delta_store.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -291,11 +292,23 @@ Status DeserializeDelta(serialize::Reader* reader, DeltaStore* store) {
   GENIE_RETURN_NOT_OK(reader->Vec(&tombstones));
   uint64_t next_id = 0;
   GENIE_RETURN_NOT_OK(reader->U64(&next_id));
+  // The watermark is stored as u64 but ids are 32-bit: a wider value would
+  // silently wrap on the narrowing below.
+  if (next_id > std::numeric_limits<ObjectId>::max()) {
+    return Status::InvalidArgument("delta watermark outside the id space");
+  }
   for (const auto& segment : sealed) {
     for (ObjectId id : segment->ids) {
       if (id >= next_id) {
         return Status::InvalidArgument("delta segment id beyond watermark");
       }
+    }
+  }
+  // A tombstone at or above the watermark would mask an id that a later
+  // insert has yet to take, so that object could never be found.
+  for (ObjectId id : tombstones) {
+    if (id >= next_id) {
+      return Status::InvalidArgument("delta tombstone beyond watermark");
     }
   }
   store->Restore(std::move(sealed), std::move(tombstones),

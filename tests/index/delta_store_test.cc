@@ -234,6 +234,38 @@ TEST(DeltaStoreTest, DeserializeRejectsTruncatedBlob) {
   }
 }
 
+TEST(DeltaStoreTest, DeserializeRejectsIdsOutsideTheIdSpace) {
+  // Hand-built snapshots: no segments, a tombstone log, the u64 watermark.
+  auto blob = [](std::vector<ObjectId> tombstones, uint64_t next_id) {
+    serialize::Writer writer;
+    writer.U32(0);
+    writer.Vec(tombstones);
+    writer.U64(next_id);
+    return writer.data();
+  };
+  // A watermark past the 32-bit id space would narrow to 5; a tombstone at
+  // the watermark would mask the id the next insert takes.
+  const std::pair<const char*, std::string> crafted[] = {
+      {"watermark 2^32 + 5", blob({}, (uint64_t{1} << 32) + 5)},
+      {"tombstone at the watermark", blob({10}, 10)},
+  };
+  for (const auto& [label, bytes] : crafted) {
+    DeltaStore scratch(0, 0);
+    serialize::Reader reader(bytes);
+    EXPECT_EQ(DeserializeDelta(&reader, &scratch).code(),
+              StatusCode::kInvalidArgument)
+        << label;
+  }
+
+  // The same layout inside the id space restores.
+  const std::string valid = blob({9}, 10);
+  DeltaStore restored(0, 0);
+  serialize::Reader reader(valid);
+  ASSERT_TRUE(DeserializeDelta(&reader, &restored).ok());
+  EXPECT_EQ(restored.next_id(), 10u);
+  EXPECT_TRUE(restored.Tombstoned(9));
+}
+
 }  // namespace
 }  // namespace delta
 }  // namespace genie
