@@ -179,9 +179,6 @@ Status Engine::Save(const std::string& path,
   // out from under BundleIndex(). Searches keep running throughout.
   const std::shared_ptr<void> pause = searcher_->PauseMutation();
   const InvertedIndex* index = searcher_->BundleIndex();
-  if (index == nullptr) {
-    return Status::Unimplemented("this engine does not support Save");
-  }
   serialize::Writer meta;
   GENIE_RETURN_NOT_OK(searcher_->SerializeBundleMeta(&meta));
   serialize::Writer mutation;
@@ -269,7 +266,7 @@ Result<std::unique_ptr<Engine>> Engine::Open(const std::string& path,
   GENIE_ASSIGN_OR_RETURN(const Modality modality, TagModality(modality_tag));
 
   // The config must re-bind the dataset the bundle was built from (the
-  // factories validate its shape); compiled bundles carry their whole
+  // searcher checks its shape); compiled bundles carry their whole
   // state and take a binding-free config instead.
   if (modality == Modality::kCompiled) {
     if (config.has_modality()) {
@@ -381,34 +378,12 @@ Result<std::unique_ptr<Engine>> Engine::Open(const std::string& path,
   // (same as a v1 bundle): only a non-empty blob reopens the engine live.
   serialize::Reader* mutation =
       !mutation_blob.empty() ? &mutation_reader : nullptr;
-  const plan::IndexStats* stats_ptr = have_stats ? &stats : nullptr;
-  Result<std::unique_ptr<Searcher>> searcher = [&] {
-    switch (modality) {
-      case Modality::kPoints:
-        return OpenPointsSearcher(config, &meta, mutation, std::move(index),
-                                  stats_ptr);
-      case Modality::kSets:
-        return OpenSetsSearcher(config, &meta, mutation, std::move(index),
-                                stats_ptr);
-      case Modality::kSequences:
-        return OpenSequencesSearcher(config, &meta, mutation,
-                                     std::move(index), stats_ptr);
-      case Modality::kDocuments:
-        return OpenDocumentsSearcher(config, &meta, mutation,
-                                     std::move(index), stats_ptr);
-      case Modality::kRelational:
-        return OpenRelationalSearcher(config, &meta, mutation,
-                                      std::move(index), stats_ptr);
-      case Modality::kCompiled:
-        return OpenCompiledSearcher(config, &meta, mutation,
-                                    std::move(index), stats_ptr);
-    }
-    return Result<std::unique_ptr<Searcher>>(
-        Status::InvalidArgument("unknown modality tag in bundle"));
-  }();
-  if (!searcher.ok()) return searcher.status();
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<Searcher> searcher,
+      OpenSearcher(modality, config, &meta, mutation, std::move(index),
+                   have_stats ? &stats : nullptr));
   return std::unique_ptr<Engine>(
-      new Engine(std::move(config), std::move(searcher).ValueOrDie()));
+      new Engine(std::move(config), std::move(searcher)));
 }
 
 }  // namespace genie

@@ -424,21 +424,9 @@ Result<std::unique_ptr<Engine>> Engine::Create(const EngineConfig& config) {
   }
   GENIE_RETURN_NOT_OK(ValidateCommonKnobs(config));
 
-  Result<std::unique_ptr<Searcher>> searcher = [&] {
-    switch (config.modality()) {
-      case Modality::kPoints: return MakePointsSearcher(config);
-      case Modality::kSets: return MakeSetsSearcher(config);
-      case Modality::kSequences: return MakeSequencesSearcher(config);
-      case Modality::kDocuments: return MakeDocumentsSearcher(config);
-      case Modality::kRelational: return MakeRelationalSearcher(config);
-      case Modality::kCompiled: return MakeCompiledSearcher(config);
-    }
-    return Result<std::unique_ptr<Searcher>>(
-        Status::InvalidArgument("unknown modality"));
-  }();
-  if (!searcher.ok()) return searcher.status();
-  return std::unique_ptr<Engine>(
-      new Engine(config, std::move(searcher).ValueOrDie()));
+  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<Searcher> searcher,
+                         MakeSearcher(config));
+  return std::unique_ptr<Engine>(new Engine(config, std::move(searcher)));
 }
 
 Modality Engine::modality() const { return searcher_->modality(); }
@@ -499,6 +487,23 @@ Status Engine::ValidateInsertRequest(const InsertRequest& request) const {
         "insert dimension " + std::to_string(request.points->dim()) +
         " does not match dataset dimension " +
         std::to_string(config_.points()->dim()));
+  }
+  if (request.modality == Modality::kRelational) {
+    // The whole batch is checked before any id is assigned, so a malformed
+    // row cannot leave a partially inserted batch behind.
+    const sa::RelationalTable& table = *config_.table();
+    for (const std::vector<uint32_t>& row : request.rows) {
+      if (row.size() != table.num_columns()) {
+        return Status::InvalidArgument(
+            "inserted row does not match the table's column count");
+      }
+      for (uint32_t c = 0; c < row.size(); ++c) {
+        if (row[c] >= table.cardinality(c)) {
+          return Status::OutOfRange(
+              "inserted row value outside the column's domain");
+        }
+      }
+    }
   }
   return Status::OK();
 }

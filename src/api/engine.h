@@ -370,8 +370,8 @@ class Engine {
   double AddOverlapSeconds(double delta);
 
   EngineConfig config_;
-  /// Thread-safe (each implementation serializes its backend execution
-  /// internally; see searcher.h).
+  /// Thread-safe (it serializes its backend execution internally; see
+  /// searcher.h).
   std::unique_ptr<Searcher> searcher_;
   /// Serving layer (EngineConfig::Serving); nullptr when serving is off.
   /// Declared after searcher_ so it is destroyed first — its dispatcher

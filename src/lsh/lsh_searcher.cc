@@ -51,28 +51,9 @@ Result<std::unique_ptr<LshSearcher>> LshSearcher::Restore(
   return searcher;
 }
 
-Result<std::vector<std::vector<AnnMatch>>> LshSearcher::MatchBatch(
-    const data::PointMatrix& queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
-}
-
-Result<LshSearcher::PreparedBatch> LshSearcher::Prepare(
-    const data::PointMatrix& queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.num_points());
-  for (uint32_t i = 0; i < queries.num_points(); ++i) {
-    batch.compiled[i] = transformer_.MakeQuery(queries.row(i));
-  }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
-  return batch;
-}
-
-Result<std::vector<std::vector<AnnMatch>>> LshSearcher::ExecutePrepared(
-    PreparedBatch batch) {
-  GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->Execute(std::move(batch.staged)));
-  const double m = transformer_.family().num_functions();
+std::vector<std::vector<AnnMatch>> ToAnnMatches(
+    const std::vector<QueryResult>& raw, uint32_t num_functions) {
+  const double m = num_functions;
   std::vector<std::vector<AnnMatch>> results(raw.size());
   for (size_t q = 0; q < raw.size(); ++q) {
     results[q].reserve(raw[q].entries.size());
@@ -83,27 +64,31 @@ Result<std::vector<std::vector<AnnMatch>>> LshSearcher::ExecutePrepared(
   return results;
 }
 
+Result<std::vector<std::vector<AnnMatch>>> LshSearcher::MatchBatch(
+    const data::PointMatrix& queries) {
+  GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
+                         engine_->ExecuteBatch(CompileBatch(queries)));
+  return ToAnnMatches(raw, transformer_.family().num_functions());
+}
+
+std::vector<Query> LshSearcher::CompileBatch(
+    const data::PointMatrix& queries) const {
+  std::vector<Query> compiled(queries.num_points());
+  for (uint32_t i = 0; i < queries.num_points(); ++i) {
+    compiled[i] = transformer_.MakeQuery(queries.row(i));
+  }
+  return compiled;
+}
+
 Result<std::vector<std::vector<ObjectId>>> LshSearcher::KnnBatch(
     const data::PointMatrix& queries, uint32_t k_nn, uint32_t p) {
   GENIE_ASSIGN_OR_RETURN(std::vector<std::vector<AnnMatch>> matches,
                          MatchBatch(queries));
-  std::vector<std::vector<ObjectId>> results(matches.size());
-  for (size_t q = 0; q < matches.size(); ++q) {
-    auto query_row = queries.row(static_cast<uint32_t>(q));
-    std::vector<std::pair<double, ObjectId>> ranked;
-    ranked.reserve(matches[q].size());
-    for (const AnnMatch& m : matches[q]) {
-      const double d = p == 1 ? data::L1Distance(points_->row(m.id), query_row)
-                              : data::L2Distance(points_->row(m.id), query_row);
-      ranked.emplace_back(d, m.id);
-    }
-    std::sort(ranked.begin(), ranked.end());
-    results[q].reserve(std::min<size_t>(k_nn, ranked.size()));
-    for (size_t i = 0; i < ranked.size() && i < k_nn; ++i) {
-      results[q].push_back(ranked[i].second);
-    }
-  }
-  return results;
+  return RankByCost(matches, k_nn, [&](size_t q, ObjectId id) {
+    const auto query_row = queries.row(static_cast<uint32_t>(q));
+    return p == 1 ? data::L1Distance(points_->row(id), query_row)
+                  : data::L2Distance(points_->row(id), query_row);
+  });
 }
 
 }  // namespace lsh

@@ -8,9 +8,11 @@
 /// approximation-ratio evaluation (Fig. 14) a kNN mode re-ranks the top-K
 /// match-count candidates by exact distance.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -37,6 +39,33 @@ struct AnnMatch {
   double estimated_similarity = 0;  // c / m (Eqn. 7)
 };
 
+/// The backend's top-k per query as AnnMatches, for an LSH family of
+/// `num_functions` functions.
+std::vector<std::vector<AnnMatch>> ToAnnMatches(
+    const std::vector<QueryResult>& raw, uint32_t num_functions);
+
+/// kNN by an exact measure over the match-count candidates: per query, the
+/// `k_nn` candidates of smallest `cost(q, id)`, ties broken by id.
+template <typename Cost>
+std::vector<std::vector<ObjectId>> RankByCost(
+    const std::vector<std::vector<AnnMatch>>& matches, uint32_t k_nn,
+    const Cost& cost) {
+  std::vector<std::vector<ObjectId>> results(matches.size());
+  for (size_t q = 0; q < matches.size(); ++q) {
+    std::vector<std::pair<double, ObjectId>> ranked;
+    ranked.reserve(matches[q].size());
+    for (const AnnMatch& m : matches[q]) {
+      ranked.emplace_back(cost(q, m.id), m.id);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    results[q].reserve(std::min<size_t>(k_nn, ranked.size()));
+    for (size_t i = 0; i < ranked.size() && i < k_nn; ++i) {
+      results[q].push_back(ranked[i].second);
+    }
+  }
+  return results;
+}
+
 class LshSearcher {
  public:
   /// Builds the LSH inverted index over `points` (which must outlive the
@@ -60,23 +89,14 @@ class LshSearcher {
       uint32_t appended_objects = 0);
 
   /// tau-ANN by match count: per query, candidates in descending count
-  /// order (entry 0 is the tau-ANN of Theorem 4.2). Equivalent to
-  /// ExecutePrepared(Prepare(queries)).
+  /// order (entry 0 is the tau-ANN of Theorem 4.2).
   Result<std::vector<std::vector<AnnMatch>>> MatchBatch(
       const data::PointMatrix& queries);
 
-  /// Two-phase MatchBatch for the streaming pipeline: Prepare runs the
-  /// query transform (LSH hashing + re-hashing) and stages the compiled
-  /// batch through the backend; ExecutePrepared answers it. Prepare is
-  /// safe to run concurrently with an ExecutePrepared on this searcher —
-  /// that concurrency is the pipeline's point.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
-  };
-  Result<PreparedBatch> Prepare(const data::PointMatrix& queries);
-  Result<std::vector<std::vector<AnnMatch>>> ExecutePrepared(
-      PreparedBatch batch);
+  /// The query transform (LSH hashing + re-hashing) of a batch. The facade
+  /// stages and executes the compiled queries on backend() itself, so its
+  /// pipelined streams run this concurrently with an executing chunk.
+  std::vector<Query> CompileBatch(const data::PointMatrix& queries) const;
 
   /// kNN: takes the engine's top candidates and re-ranks by exact l_p
   /// distance, returning `k_nn` ids per query (ascending distance).
@@ -86,7 +106,6 @@ class LshSearcher {
   MatchProfile profile() const { return engine_->profile(); }
   const LshTransformer& transformer() const { return transformer_; }
   const InvertedIndex& index() const { return index_; }
-  const EngineBackend& backend() const { return *engine_; }
   EngineBackend& backend() { return *engine_; }
 
  private:

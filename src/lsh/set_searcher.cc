@@ -104,56 +104,28 @@ Status SetLshSearcher::SetUpEngine() {
 
 Result<std::vector<std::vector<AnnMatch>>> SetLshSearcher::MatchBatch(
     std::span<const std::vector<uint32_t>> queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
-}
-
-Result<SetLshSearcher::PreparedBatch> SetLshSearcher::Prepare(
-    std::span<const std::vector<uint32_t>> queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    for (Keyword kw : Transform(queries[i])) batch.compiled[i].AddItem(kw);
-  }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
-  return batch;
-}
-
-Result<std::vector<std::vector<AnnMatch>>> SetLshSearcher::ExecutePrepared(
-    PreparedBatch batch) {
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->Execute(std::move(batch.staged)));
-  const double m = family_->num_functions();
-  std::vector<std::vector<AnnMatch>> results(raw.size());
-  for (size_t q = 0; q < raw.size(); ++q) {
-    results[q].reserve(raw[q].entries.size());
-    for (const TopKEntry& e : raw[q].entries) {
-      results[q].push_back(AnnMatch{e.id, e.count, e.count / m});
-    }
+                         engine_->ExecuteBatch(CompileBatch(queries)));
+  return ToAnnMatches(raw, family_->num_functions());
+}
+
+std::vector<Query> SetLshSearcher::CompileBatch(
+    std::span<const std::vector<uint32_t>> queries) const {
+  std::vector<Query> compiled(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (Keyword kw : Transform(queries[i])) compiled[i].AddItem(kw);
   }
-  return results;
+  return compiled;
 }
 
 Result<std::vector<std::vector<ObjectId>>> SetLshSearcher::KnnBatch(
     std::span<const std::vector<uint32_t>> queries, uint32_t k_nn) {
   GENIE_ASSIGN_OR_RETURN(std::vector<std::vector<AnnMatch>> matches,
                          MatchBatch(queries));
-  std::vector<std::vector<ObjectId>> results(matches.size());
-  for (size_t q = 0; q < matches.size(); ++q) {
-    std::vector<std::pair<double, ObjectId>> ranked;
-    ranked.reserve(matches[q].size());
-    for (const AnnMatch& m : matches[q]) {
-      // Exact Jaccard re-rank (negated: sort ascending).
-      ranked.emplace_back(
-          -family_->CollisionProbability((*sets_)[m.id], queries[q]), m.id);
-    }
-    std::sort(ranked.begin(), ranked.end());
-    results[q].reserve(std::min<size_t>(k_nn, ranked.size()));
-    for (size_t i = 0; i < ranked.size() && i < k_nn; ++i) {
-      results[q].push_back(ranked[i].second);
-    }
-  }
-  return results;
+  // Exact Jaccard re-rank, negated so the smallest cost is the most similar.
+  return RankByCost(matches, k_nn, [&](size_t q, ObjectId id) {
+    return -family_->CollisionProbability((*sets_)[id], queries[q]);
+  });
 }
 
 }  // namespace lsh

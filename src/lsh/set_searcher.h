@@ -50,22 +50,14 @@ class SetLshSearcher {
 
   /// Candidates per query in descending match-count order; entry 0 is the
   /// tau-ANN under the family's similarity (Jaccard for MinHash), and
-  /// count/m estimates that similarity (Eqn. 7). Equivalent to
-  /// ExecutePrepared(Prepare(queries)).
+  /// count/m estimates that similarity (Eqn. 7).
   Result<std::vector<std::vector<AnnMatch>>> MatchBatch(
       std::span<const std::vector<uint32_t>> queries);
 
-  /// Two-phase MatchBatch for the streaming pipeline (see
-  /// LshSearcher::Prepare): MinHash transform + backend staging, then
-  /// execution; Prepare may run concurrently with ExecutePrepared.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
-  };
-  Result<PreparedBatch> Prepare(
-      std::span<const std::vector<uint32_t>> queries);
-  Result<std::vector<std::vector<AnnMatch>>> ExecutePrepared(
-      PreparedBatch batch);
+  /// The MinHash + re-hash transform of a batch, one single-keyword item
+  /// per hash function (see LshSearcher::CompileBatch).
+  std::vector<Query> CompileBatch(
+      std::span<const std::vector<uint32_t>> queries) const;
 
   /// kNN by exact Jaccard similarity over the top match-count candidates
   /// (descending similarity).
@@ -73,8 +65,6 @@ class SetLshSearcher {
       std::span<const std::vector<uint32_t>> queries, uint32_t k_nn);
 
   MatchProfile profile() const { return engine_->profile(); }
-  const InvertedIndex& index() const { return index_; }
-  const EngineBackend& backend() const { return *engine_; }
   EngineBackend& backend() { return *engine_; }
   const SetLshFamily& family() const { return *family_; }
   const LshTransformOptions& transform_options() const {

@@ -105,24 +105,16 @@ std::vector<Keyword> DocumentSearcher::ExtractKeywords(const Document& doc) {
 
 Result<std::vector<QueryResult>> DocumentSearcher::SearchBatch(
     std::span<const Document> queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
+  return engine_->ExecuteBatch(CompileBatch(queries));
 }
 
-Result<DocumentSearcher::PreparedBatch> DocumentSearcher::Prepare(
-    std::span<const Document> queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
+std::vector<Query> DocumentSearcher::CompileBatch(
+    std::span<const Document> queries) const {
+  std::vector<Query> compiled(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    batch.compiled[i] = Compile(queries[i]);
+    compiled[i] = Compile(queries[i]);
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
-  return batch;
-}
-
-Result<std::vector<QueryResult>> DocumentSearcher::ExecutePrepared(
-    PreparedBatch batch) {
-  return engine_->Execute(std::move(batch.staged));
+  return compiled;
 }
 
 }  // namespace sa

@@ -48,25 +48,15 @@ class DocumentSearcher {
       uint32_t vocab_size, InvertedIndex index, uint32_t appended_objects = 0);
 
   /// Per query: top-k documents by word-overlap (inner product).
-  /// Equivalent to ExecutePrepared(Prepare(queries)).
   Result<std::vector<QueryResult>> SearchBatch(
       std::span<const Document> queries);
 
-  /// Two-phase SearchBatch for the streaming pipeline: token dedup +
-  /// compile + backend staging, then execution. Prepare may run
-  /// concurrently with ExecutePrepared.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
-  };
-  Result<PreparedBatch> Prepare(std::span<const Document> queries);
-  Result<std::vector<QueryResult>> ExecutePrepared(PreparedBatch batch);
-
+  /// Token dedup + compile: one single-keyword item per distinct token in
+  /// the universe. Safe to run concurrently with a search on backend().
   Query Compile(const Document& query) const;
+  std::vector<Query> CompileBatch(std::span<const Document> queries) const;
 
   MatchProfile profile() const { return engine_->profile(); }
-  const InvertedIndex& index() const { return index_; }
-  const EngineBackend& backend() const { return *engine_; }
   EngineBackend& backend() { return *engine_; }
   /// Token universe bound (keywords are token ids in [0, vocab_size)).
   uint32_t vocab_size() const {

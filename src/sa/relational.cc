@@ -150,24 +150,17 @@ Result<Query> RelationalSearcher::Compile(const RangeQuery& query) const {
 
 Result<std::vector<QueryResult>> RelationalSearcher::SearchBatch(
     std::span<const RangeQuery> queries) const {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
+  GENIE_ASSIGN_OR_RETURN(std::vector<Query> compiled, CompileBatch(queries));
+  return engine_->ExecuteBatch(compiled);
 }
 
-Result<RelationalSearcher::PreparedBatch> RelationalSearcher::Prepare(
+Result<std::vector<Query>> RelationalSearcher::CompileBatch(
     std::span<const RangeQuery> queries) const {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
+  std::vector<Query> compiled(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    GENIE_ASSIGN_OR_RETURN(batch.compiled[i], Compile(queries[i]));
+    GENIE_ASSIGN_OR_RETURN(compiled[i], Compile(queries[i]));
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
-  return batch;
-}
-
-Result<std::vector<QueryResult>> RelationalSearcher::ExecutePrepared(
-    PreparedBatch batch) const {
-  return engine_->Execute(std::move(batch.staged));
+  return compiled;
 }
 
 }  // namespace sa

@@ -105,28 +105,17 @@ class RelationalSearcher {
       const EngineBackendOptions& backend_options = {},
       uint32_t appended_objects = 0);
 
-  /// Top-k rows by number of satisfied ranges. Equivalent to
-  /// ExecutePrepared(Prepare(queries)).
+  /// Top-k rows by number of satisfied ranges.
   Result<std::vector<QueryResult>> SearchBatch(
       std::span<const RangeQuery> queries) const;
 
-  /// Two-phase SearchBatch for the streaming pipeline: range lowering +
-  /// backend staging, then execution. Prepare may run concurrently with
-  /// ExecutePrepared.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
-  };
-  Result<PreparedBatch> Prepare(std::span<const RangeQuery> queries) const;
-  Result<std::vector<QueryResult>> ExecutePrepared(PreparedBatch batch) const;
-
   /// Lowers a range query: one item per attribute covering the bucket run.
   Result<Query> Compile(const RangeQuery& query) const;
+  Result<std::vector<Query>> CompileBatch(
+      std::span<const RangeQuery> queries) const;
 
   MatchProfile profile() const { return engine_->profile(); }
-  const InvertedIndex& index() const { return index_; }
   const DimValueEncoder& encoder() const { return *encoder_; }
-  const EngineBackend& backend() const { return *engine_; }
   EngineBackend& backend() { return *engine_; }
 
  private:

@@ -1,6 +1,7 @@
 #include "sa/sequence_searcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "common/timer.h"
@@ -34,7 +35,7 @@ Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Create(
 Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Restore(
     const std::vector<std::string>* sequences,
     const SequenceSearchOptions& options, StringVocabulary vocab,
-    InvertedIndex index, uint32_t appended_objects) {
+    InvertedIndex index, std::vector<std::string> appended) {
   if (sequences == nullptr) {
     return Status::InvalidArgument("sequences is null");
   }
@@ -44,15 +45,14 @@ Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Restore(
     return Status::InvalidArgument("candidate_k must be >= k");
   }
   if (index.num_objects() < sequences->size() ||
-      index.num_objects() > sequences->size() + appended_objects) {
+      index.num_objects() > sequences->size() + appended.size()) {
     return Status::InvalidArgument(
         "index object count does not match the sequences dataset");
   }
   const uint32_t vocab_cap =
       std::max<uint32_t>(1, static_cast<uint32_t>(vocab.size()));
-  const bool vocab_ok = appended_objects > 0
-                            ? index.vocab_size() <= vocab_cap
-                            : index.vocab_size() == vocab_cap;
+  const bool vocab_ok = !appended.empty() ? index.vocab_size() <= vocab_cap
+                                          : index.vocab_size() == vocab_cap;
   if (!vocab_ok) {
     return Status::InvalidArgument(
         "index vocabulary does not match the n-gram vocabulary");
@@ -60,6 +60,8 @@ Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Restore(
   std::unique_ptr<SequenceSearcher> searcher(
       new SequenceSearcher(sequences, options));
   searcher->vocab_ = std::move(vocab);
+  searcher->appended_.assign(std::make_move_iterator(appended.begin()),
+                             std::make_move_iterator(appended.end()));
   searcher->index_ = std::move(index);
   GENIE_RETURN_NOT_OK(searcher->SetUpEngine());
   return searcher;
@@ -213,34 +215,32 @@ SequenceSearchOutcome SequenceSearcher::Verify(
 
 Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::SearchBatch(
     std::span<const std::string> queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(queries, std::move(batch));
-}
-
-Result<SequenceSearcher::PreparedBatch> SequenceSearcher::Prepare(
-    std::span<const std::string> queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    batch.compiled[i] = Compile(queries[i]);
-  }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
-  return batch;
-}
-
-Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::ExecutePrepared(
-    std::span<const std::string> queries, PreparedBatch batch) {
-  if (batch.compiled.size() != queries.size()) {
-    return Status::InvalidArgument(
-        "prepared batch does not match the query span");
-  }
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->Execute(std::move(batch.staged)));
+                         engine_->ExecuteBatch(CompileBatch(queries)));
+  return VerifyBatch(queries, raw);
+}
+
+std::vector<Query> SequenceSearcher::CompileBatch(
+    std::span<const std::string> queries) const {
+  std::vector<Query> compiled(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    compiled[i] = Compile(queries[i]);
+  }
+  return compiled;
+}
+
+Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::VerifyBatch(
+    std::span<const std::string> queries,
+    const std::vector<QueryResult>& candidates) {
+  if (candidates.size() != queries.size()) {
+    return Status::InvalidArgument(
+        "candidate lists do not match the query span");
+  }
   std::vector<SequenceSearchOutcome> outcomes(queries.size());
   {
     ScopedTimer timer(&verify_seconds_);
     for (size_t i = 0; i < queries.size(); ++i) {
-      outcomes[i] = Verify(queries[i], raw[i]);
+      outcomes[i] = Verify(queries[i], candidates[i]);
     }
   }
   if (!options_.escalate_until_exact) return outcomes;

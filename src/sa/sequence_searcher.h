@@ -65,47 +65,38 @@ class SequenceSearcher {
   /// so queries compile to exactly the saved keywords. `sequences` is
   /// still consulted for verification (Algorithm 2) and must match the
   /// indexed dataset.
-  /// `appended_objects` (> 0 only on mutated v2 bundles) is the number of
-  /// sequences inserted after the base dataset (re-attached afterwards via
-  /// AppendSequence, in id order): the index then holds between
-  /// sequences->size() and sequences->size() + appended_objects objects and
-  /// its vocabulary may be a subset of `vocab` (insertion grows the n-gram
-  /// vocabulary ahead of compaction).
+  /// `appended` (non-empty only on mutated bundles) are the sequences
+  /// inserted after the base dataset, in id order: the index then holds
+  /// between sequences->size() and sequences->size() + appended.size()
+  /// objects and its vocabulary may be a subset of `vocab` (insertion grows
+  /// the n-gram vocabulary ahead of compaction).
   static Result<std::unique_ptr<SequenceSearcher>> Restore(
       const std::vector<std::string>* sequences,
       const SequenceSearchOptions& options, StringVocabulary vocab,
-      InvertedIndex index, uint32_t appended_objects = 0);
+      InvertedIndex index, std::vector<std::string> appended = {});
 
   Result<std::vector<SequenceSearchOutcome>> SearchBatch(
       std::span<const std::string> queries);
 
-  /// Two-phase SearchBatch for the streaming pipeline: Prepare compiles
-  /// the first round's n-gram queries and stages them through the backend;
-  /// ExecutePrepared executes, verifies (Algorithm 2), and — when
-  /// escalation is enabled — runs the later rounds exactly like
-  /// SearchBatch (those rounds re-compile against a fresh wider-K backend
-  /// and are not staged). `queries` must be the span Prepare saw.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
-  };
-  Result<PreparedBatch> Prepare(std::span<const std::string> queries);
-  Result<std::vector<SequenceSearchOutcome>> ExecutePrepared(
-      std::span<const std::string> queries, PreparedBatch batch);
-
   /// Compiles a query sequence: one single-keyword item per ordered n-gram
   /// known to the vocabulary.
   Query Compile(const std::string& query) const;
+  std::vector<Query> CompileBatch(std::span<const std::string> queries) const;
+
+  /// Verifies the first round's candidates (`candidates[i]` answers
+  /// `queries[i]`) with Algorithm 2 and — when escalation is enabled —
+  /// runs the later rounds on the live backend at a wider K. The facade
+  /// stages and executes the first round itself and calls this inside its
+  /// execute critical section: not thread-safe, and the time lands in
+  /// verify_seconds().
+  Result<std::vector<SequenceSearchOutcome>> VerifyBatch(
+      std::span<const std::string> queries,
+      const std::vector<QueryResult>& candidates);
 
   MatchProfile profile() const { return engine_->profile(); }
   double verify_seconds() const { return verify_seconds_; }
-  const InvertedIndex& index() const { return index_; }
-  const EngineBackend& backend() const { return *engine_; }
   EngineBackend& backend() { return *engine_; }
   uint32_t ngram() const { return options_.ngram; }
-  /// Only safe while no concurrent insertion can grow the vocabulary (e.g.
-  /// under the facade's PauseMutation during Save).
-  const StringVocabulary& vocabulary() const { return vocab_; }
   /// Locked vocabulary serialization for Save: safe against a concurrent
   /// insert that is still in its ExtractKeywords phase (PauseMutation only
   /// blocks the id-assignment phase).
