@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "data/points.h"
 #include "data/relational_data.h"
 #include "data/sequences.h"
+#include "sa/edit_distance.h"
 #include "test_util.h"
 
 namespace genie {
@@ -663,6 +665,170 @@ TEST(MutationTest, FlushHotSwapUnderConcurrentStreams) {
   ASSERT_TRUE(blocking.ok());
   ASSERT_TRUE(streamed.ok());
   ExpectSameAnswers(*streamed, *blocking, "stream vs blocking at quiesce");
+}
+
+TEST(MutationTest, InsertsRaceRerankAndVerification) {
+  // Points and sets re-rank by the exact measure outside the execute
+  // critical section, and sequence verification reads sequences by id:
+  // all three read the side data Insert appends. Every score must equal
+  // the exact measure recomputed from the base plus the inserted objects.
+  data::ClusteredPointsOptions point_options;
+  point_options.num_points = 200;
+  point_options.dim = 6;
+  point_options.num_clusters = 5;
+  point_options.seed = 230;
+  auto points = data::MakeClusteredPoints(point_options);
+  auto new_points = data::MakeQueriesNear(points.points, 24, 0.05, 231);
+
+  Rng rng(232);
+  auto random_set = [&] {
+    std::vector<uint32_t> set;
+    for (int i = 0; i < 10; ++i) {
+      set.push_back(static_cast<uint32_t>(rng.UniformU64(2000)));
+    }
+    return set;
+  };
+  std::vector<std::vector<uint32_t>> sets(150);
+  for (auto& set : sets) set = random_set();
+  std::vector<std::vector<uint32_t>> new_sets(24);
+  for (auto& set : new_sets) set = random_set();
+  std::shared_ptr<const lsh::SetLshFamily> family(
+      lsh::MinHashFamily::Create(lsh::MinHashOptions{24, 233})
+          .ValueOrDie()
+          .release());
+
+  data::SequenceDatasetOptions sequence_options;
+  sequence_options.num_sequences = 150;
+  sequence_options.min_length = 20;
+  sequence_options.max_length = 30;
+  sequence_options.seed = 234;
+  auto sequences = data::MakeSequences(sequence_options);
+  std::vector<std::string> new_sequences;
+  for (int i = 0; i < 24; ++i) {
+    new_sequences.push_back(data::MutateSequence(sequences[i], 0.1, 26, &rng));
+  }
+
+  auto points_engine = Engine::Create(EngineConfig()
+                                          .Points(&points.points)
+                                          .K(3)
+                                          .HashFunctions(16)
+                                          .RehashDomain(64)
+                                          .ExactRerank(true)
+                                          .DeltaSealThreshold(4)
+                                          .AutoCompactSegments(2)
+                                          .Device(test::SharedTestDevice(2)));
+  auto sets_engine = Engine::Create(EngineConfig()
+                                        .Sets(&sets)
+                                        .SetFamily(family)
+                                        .K(3)
+                                        .RehashDomain(256)
+                                        .ExactRerank(true)
+                                        .DeltaSealThreshold(4)
+                                        .AutoCompactSegments(2)
+                                        .Device(test::SharedTestDevice(2)));
+  auto sequences_engine =
+      Engine::Create(EngineConfig()
+                         .Sequences(&sequences)
+                         .K(2)
+                         .CandidateK(16)
+                         .Ngram(3)
+                         .DeltaSealThreshold(4)
+                         .AutoCompactSegments(2)
+                         .Device(test::SharedTestDevice(2)));
+  ASSERT_TRUE(points_engine.ok()) << points_engine.status().ToString();
+  ASSERT_TRUE(sets_engine.ok()) << sets_engine.status().ToString();
+  ASSERT_TRUE(sequences_engine.ok()) << sequences_engine.status().ToString();
+
+  // The queries are the objects being inserted, so answers reach the
+  // appended ids while the writer is still appending.
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint32_t i = 0; i < 24; ++i) {
+      data::PointMatrix row(1, 6);
+      const auto from = new_points.row(i);
+      std::copy(from.begin(), from.end(), row.mutable_row(0).begin());
+      auto point_id = (*points_engine)->Insert(InsertRequest::Points(row));
+      auto set_id = (*sets_engine)->Insert(InsertRequest::Sets(
+          std::span<const std::vector<uint32_t>>(new_sets).subspan(i, 1)));
+      auto sequence_id =
+          (*sequences_engine)->Insert(InsertRequest::Sequences(
+              std::span<const std::string>(new_sequences).subspan(i, 1)));
+      if (!point_id.ok() || !set_id.ok() || !sequence_id.ok()) {
+        ADD_FAILURE() << "insert " << i << " failed";
+        break;
+      }
+      EXPECT_EQ((*point_id)[0], 200 + i);
+      EXPECT_EQ((*set_id)[0], 150 + i);
+      EXPECT_EQ((*sequence_id)[0], 150 + i);
+    }
+    done = true;
+  });
+
+  auto point_row = [&](ObjectId id) {
+    return id < 200 ? points.points.row(id) : new_points.row(id - 200);
+  };
+  auto set_of = [&](ObjectId id) -> const std::vector<uint32_t>& {
+    return id < 150 ? sets[id] : new_sets[id - 150];
+  };
+  auto sequence_of = [&](ObjectId id) -> const std::string& {
+    return id < 150 ? sequences[id] : new_sequences[id - 150];
+  };
+  std::thread points_reader([&] {
+    int rounds = 0;
+    do {
+      auto result = (*points_engine)->Search(SearchRequest::Points(new_points));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (uint32_t q = 0; q < result->queries.size(); ++q) {
+        for (const Hit& hit : result->queries[q].hits) {
+          ASSERT_LT(hit.id, 224u);
+          EXPECT_EQ(hit.score,
+                    -data::L2Distance(point_row(hit.id), new_points.row(q)));
+        }
+      }
+    } while (++rounds < 3 || !done);
+  });
+  std::thread sets_reader([&] {
+    int rounds = 0;
+    do {
+      auto result = (*sets_engine)->Search(SearchRequest::Sets(new_sets));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (size_t q = 0; q < result->queries.size(); ++q) {
+        for (const Hit& hit : result->queries[q].hits) {
+          ASSERT_LT(hit.id, 174u);
+          EXPECT_EQ(hit.score,
+                    family->CollisionProbability(set_of(hit.id), new_sets[q]));
+        }
+      }
+    } while (++rounds < 3 || !done);
+  });
+  std::thread sequences_reader([&] {
+    int rounds = 0;
+    do {
+      auto result =
+          (*sequences_engine)->Search(SearchRequest::Sequences(new_sequences));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (size_t q = 0; q < result->queries.size(); ++q) {
+        for (const Hit& hit : result->queries[q].hits) {
+          ASSERT_LT(hit.id, 174u);
+          EXPECT_EQ(hit.score, -static_cast<double>(sa::EditDistance(
+                                   new_sequences[q], sequence_of(hit.id))));
+        }
+      }
+    } while (++rounds < 3 || !done);
+  });
+  writer.join();
+  points_reader.join();
+  sets_reader.join();
+  sequences_reader.join();
+
+  // Quiesced: each inserted sequence is its own nearest answer.
+  auto last =
+      (*sequences_engine)->Search(SearchRequest::Sequences(new_sequences));
+  ASSERT_TRUE(last.ok());
+  for (uint32_t q = 0; q < 24; ++q) {
+    ASSERT_FALSE(last->queries[q].hits.empty());
+    EXPECT_DOUBLE_EQ(last->queries[q].hits[0].score, 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
