@@ -267,7 +267,7 @@ class AppendLog {
                                        size_t width) {
     uint32_t count = 0;
     GENIE_RETURN_NOT_OK(reader->U32(&count));
-    objects_.reserve(count);
+    objects_.reserve(std::min<size_t>(count, reader->remaining()));
     for (uint32_t i = 0; i < count; ++i) {
       std::vector<T> object;
       GENIE_RETURN_NOT_OK(reader->Vec(&object));
@@ -748,7 +748,7 @@ class SequencesAdapter : public Adapter {
       serialize::Reader* reader) override {
     uint32_t count = 0;
     GENIE_RETURN_NOT_OK(reader->U32(&count));
-    appended_.reserve(count);
+    appended_.reserve(std::min<size_t>(count, reader->remaining()));
     for (uint32_t i = 0; i < count; ++i) {
       std::string sequence;
       GENIE_RETURN_NOT_OK(reader->String(&sequence));
