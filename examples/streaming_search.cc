@@ -4,8 +4,12 @@
 ///   1. Engine::SearchStream splits the request into chunks, runs each
 ///      through the backend, and delivers per-chunk results in input order
 ///      with per-chunk SearchProfile deltas;
-///   2. Engine::SearchAsync does the same on a background thread and
-///      returns a future, so the caller overlaps its own work with search.
+///   2. Engine::SearchAsync returns a future at once, so the caller
+///      overlaps its own work with search. The stream runs as a task on
+///      the process-wide thread pool, and so does the chunk callback.
+///      Under EngineConfig::Serving, SearchAsync admits the chunks from
+///      the calling thread instead, and each delivery (callback included)
+///      runs as its own short pool task.
 
 #include <cstdio>
 

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "api/searcher.h"
@@ -68,6 +72,52 @@ SearchRequest SliceRequest(const SearchRequest& request, size_t offset,
   }
   return chunk;
 }
+
+/// The delivery step every stream path shares: folds one answered chunk
+/// into the stream's aggregate, handing it to `on_chunk` on the way.
+Status DeliverChunk(const SearchChunkCallback& on_chunk, size_t index,
+                    size_t first_query, SearchResult chunk,
+                    SearchResult* aggregate) {
+  aggregate->profile.Accumulate(chunk.profile);
+  aggregate->cumulative = chunk.cumulative;
+  if (on_chunk) {
+    SearchChunk delivery;
+    delivery.index = index;
+    delivery.first_query = first_query;
+    delivery.result = std::move(chunk);
+    GENIE_RETURN_NOT_OK(on_chunk(delivery));
+    chunk = std::move(delivery.result);
+  }
+  for (QueryHits& hits : chunk.queries) {
+    aggregate->queries.push_back(std::move(hits));
+  }
+  return Status::OK();
+}
+
+/// The steps of a served SearchStream, run by the thread that called it.
+class StepQueue {
+ public:
+  void Push(std::function<void()> step) {
+    std::lock_guard<std::mutex> lock(mu_);
+    steps_.push_back(std::move(step));
+    ready_.notify_one();
+  }
+
+  /// Waits for the next step and runs it.
+  void RunOne() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ready_.wait(lock, [this] { return !steps_.empty(); });
+    std::function<void()> step = std::move(steps_.front());
+    steps_.pop_front();
+    lock.unlock();
+    step();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable ready_;
+  std::deque<std::function<void()>> steps_;
+};
 
 }  // namespace
 
@@ -363,12 +413,224 @@ EngineConfig& EngineConfig::Serving(ServingOptions options) {
 // Engine
 // ---------------------------------------------------------------------------
 
-/// Outlives the Engine via shared ownership with the async tasks, so the
-/// destructor's wait and a finishing task never race on a dying mutex.
+/// Outlives the Engine via shared ownership with the async streams, so the
+/// destructor's wait and a finishing stream never race on a dying mutex.
 struct Engine::AsyncTracker {
   std::mutex mu;
   std::condition_variable cv;
   size_t inflight = 0;
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    ++inflight;
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu);
+    --inflight;
+    cv.notify_all();
+  }
+};
+
+/// One stream under serving, for SearchStream and SearchAsync alike (a
+/// one-chunk request is a stream of one). It keeps at most two chunk
+/// submissions outstanding in the scheduler and delivers answered chunks
+/// strictly in input order, one at a time. A scheduler completion only
+/// records its answer and hands the step now due to `post`. A step either
+/// delivers one chunk (aggregation, callback, admission of the chunk two
+/// places ahead) or resolves the stream's future. No step ever waits, so
+/// the stream holds no thread between its steps.
+class Engine::ServedStream
+    : public std::enable_shared_from_this<ServedStream> {
+ public:
+  /// Runs a step off the dispatcher thread.
+  using Post = std::function<void(std::function<void()>)>;
+
+  /// `tracker`, when set, is closed right after the future resolves; the
+  /// stream touches neither the engine nor the caller's payload afterwards.
+  ServedStream(Engine* engine, const SearchRequest& request,
+               size_t chunk_size, SearchChunkCallback on_chunk, Post post,
+               std::shared_ptr<AsyncTracker> tracker)
+      : engine_(engine),
+        request_(request),
+        chunk_size_(chunk_size),
+        num_chunks_((request.num_queries() + chunk_size - 1) / chunk_size),
+        on_chunk_(std::move(on_chunk)),
+        post_(std::move(post)),
+        tracker_(std::move(tracker)) {
+    aggregate_.queries.reserve(request.num_queries());
+  }
+
+  /// Admits the first two chunks. The future resolves once every chunk is
+  /// delivered, or, after the first error, once every outstanding
+  /// submission has completed, since those borrow the caller's payload.
+  std::future<Result<SearchResult>> Start() {
+    std::future<Result<SearchResult>> future = promise_.get_future();
+    const size_t window = std::min<size_t>(2, num_chunks_);
+    SearchRequest chunks[2];
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (size_t i = 0; i < window; ++i) chunks[i] = PrepareLocked(i);
+    }
+    for (size_t i = 0; i < window; ++i) Admit(i, chunks[i]);
+    return future;
+  }
+
+ private:
+  enum class Step { kNone, kDeliver, kFinish };
+
+  struct Slot {
+    size_t first_query = 0;
+    /// The points slice the submission borrows until it completes.
+    data::PointMatrix scratch;
+    std::optional<Result<SearchResult>> answer;
+  };
+
+  /// Slices chunk `index` into its slot and counts it outstanding.
+  SearchRequest PrepareLocked(size_t index) {
+    Slot& slot = slots_[index % 2];
+    slot.first_query = index * chunk_size_;
+    slot.answer.reset();
+    next_submit_ = index + 1;
+    ++outstanding_;
+    const size_t count =
+        std::min(chunk_size_, request_.num_queries() - slot.first_query);
+    return SliceRequest(request_, slot.first_query, count, &slot.scratch);
+  }
+
+  /// Called with no lock held: a cache hit completes inline.
+  void Admit(size_t index, const SearchRequest& chunk) {
+    engine_->scheduler_->SubmitWith(
+        chunk, [self = shared_from_this(), index](Result<SearchResult> answer) {
+          self->OnAnswered(index, std::move(answer));
+        });
+  }
+
+  void OnAnswered(size_t index, Result<SearchResult>&& answer) {
+    Step step = Step::kNone;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --outstanding_;
+      slots_[index % 2].answer = std::move(answer);
+      step = ClaimStepLocked();
+    }
+    PostStep(step);
+  }
+
+  /// The step now due, if any; claiming it keeps every other step out
+  /// until it ends.
+  Step ClaimStepLocked() {
+    if (busy_) return Step::kNone;
+    const bool stopped = !error_.ok() || thrown_ != nullptr;
+    Step step = Step::kNone;
+    if (stopped ? outstanding_ == 0 : next_deliver_ == num_chunks_) {
+      step = Step::kFinish;
+    } else if (!stopped && slots_[next_deliver_ % 2].answer.has_value()) {
+      step = Step::kDeliver;
+    }
+    busy_ = step != Step::kNone;
+    return step;
+  }
+
+  void PostStep(Step step) {
+    if (step == Step::kNone) return;
+    post_([self = shared_from_this(), step] {
+      if (step == Step::kDeliver) {
+        self->Deliver();
+      } else {
+        self->Finish();
+      }
+    });
+  }
+
+  void Deliver() {
+    size_t index = 0;
+    size_t first_query = 0;
+    std::optional<Result<SearchResult>> answer;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      index = next_deliver_;
+      first_query = slots_[index % 2].first_query;
+      answer.swap(slots_[index % 2].answer);
+    }
+    Status status = answer->status();
+    std::exception_ptr thrown;
+    if (answer->ok()) {
+      try {
+        status = DeliverChunk(on_chunk_, index, first_query,
+                              std::move(**answer), &aggregate_);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+    }
+
+    // Chunk `index` is delivered, so its slot is free for chunk index + 2.
+    size_t next_index = 0;
+    std::optional<SearchRequest> next;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++next_deliver_;
+      thrown_ = thrown;
+      error_ = status;
+      if (status.ok() && thrown == nullptr && next_submit_ < num_chunks_) {
+        next_index = next_submit_;
+        next = PrepareLocked(next_index);
+      }
+    }
+    if (next.has_value()) Admit(next_index, *next);
+
+    Step step = Step::kNone;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      busy_ = false;
+      step = ClaimStepLocked();
+    }
+    if (step == Step::kFinish) {
+      Finish();
+    } else {
+      PostStep(step);
+    }
+  }
+
+  void Finish() {
+    Status error;
+    std::exception_ptr thrown;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      error = error_;
+      thrown = thrown_;
+    }
+    if (thrown != nullptr) {
+      promise_.set_exception(thrown);
+    } else if (!error.ok()) {
+      promise_.set_value(error);
+    } else {
+      aggregate_.cumulative.overlap_seconds = engine_->AddOverlapSeconds(0);
+      promise_.set_value(std::move(aggregate_));
+    }
+    if (tracker_ != nullptr) tracker_->Close();
+  }
+
+  Engine* const engine_;
+  const SearchRequest request_;
+  const size_t chunk_size_;
+  const size_t num_chunks_;
+  const SearchChunkCallback on_chunk_;
+  const Post post_;
+  const std::shared_ptr<AsyncTracker> tracker_;
+  std::promise<Result<SearchResult>> promise_;
+
+  std::mutex mu_;
+  Slot slots_[2];  // chunk i lives in slots_[i % 2]
+  size_t next_submit_ = 0;
+  size_t next_deliver_ = 0;
+  size_t outstanding_ = 0;  // admitted, not yet answered
+  bool busy_ = false;       // a step is posted or running
+  /// The first error, from the backend or the callback; it stops further
+  /// admissions and deliveries.
+  Status error_;
+  std::exception_ptr thrown_;
+  /// Touched only by the running step, and steps never overlap.
+  SearchResult aggregate_;
 };
 
 Engine::Engine(EngineConfig config, std::unique_ptr<Searcher> searcher)
@@ -381,8 +643,8 @@ Engine::Engine(EngineConfig config, std::unique_ptr<Searcher> searcher)
 }
 
 Engine::~Engine() {
-  // A queued or running SearchAsync task dereferences this engine; freeing
-  // it mid-stream would be a use-after-free. Block until they drain.
+  // An outstanding SearchAsync stream dereferences this engine; freeing it
+  // mid-stream would be a use-after-free. Block until they resolve.
   std::unique_lock<std::mutex> lock(async_->mu);
   if (async_->inflight > 0) {
     // Waiting from a pool worker could starve the very tasks being waited
@@ -536,11 +798,8 @@ double Engine::AddOverlapSeconds(double delta) {
   return overlap_total_s_;
 }
 
-Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
-                                          const SearchStreamOptions& options,
-                                          const SearchChunkCallback& on_chunk) {
-  GENIE_RETURN_NOT_OK(ValidateRequest(request));
-  const size_t total = request.num_queries();
+size_t Engine::StreamChunkSize(const SearchRequest& request,
+                               const SearchStreamOptions& options) const {
   size_t chunk_size = options.chunk_size;
   if (chunk_size == 0) {
     // The derivation models the per-query working memory (c-PQ arenas /
@@ -556,72 +815,38 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
   // from the residency headroom (0 when no plan is live).
   if (chunk_size == 0) chunk_size = searcher_->PlannedChunkSize();
   if (chunk_size == 0) chunk_size = kDefaultStreamChunk;
-  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
+  return chunk_size;
+}
 
-  SearchResult aggregate;
-  aggregate.queries.reserve(total);
-
-  // Folds one answered chunk into the aggregate and delivers it in order.
-  auto deliver = [&](size_t index, size_t first_query,
-                     Result<SearchResult>&& chunk) -> Status {
-    aggregate.profile.Accumulate(chunk->profile);
-    aggregate.cumulative = chunk->cumulative;
-    if (on_chunk) {
-      SearchChunk delivery;
-      delivery.index = index;
-      delivery.first_query = first_query;
-      delivery.result = std::move(*chunk);
-      GENIE_RETURN_NOT_OK(on_chunk(delivery));
-      chunk = std::move(delivery.result);
-    }
-    for (QueryHits& hits : chunk->queries) {
-      aggregate.queries.push_back(std::move(hits));
-    }
-    return Status::OK();
-  };
+Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
+                                          const SearchStreamOptions& options,
+                                          const SearchChunkCallback& on_chunk) {
+  GENIE_RETURN_NOT_OK(ValidateRequest(request));
+  const size_t chunk_size = StreamChunkSize(request, options);
 
   if (scheduler_ != nullptr) {
-    // Serving path: chunks are admitted to the scheduler with a window of
-    // two outstanding submissions — chunk k+1 queues (and may coalesce with
-    // chunk k or with other callers' submissions) while chunk k's answer is
-    // awaited. Delivery order and error semantics match the legacy paths.
-    struct Outstanding {
-      size_t first_query = 0;
-      /// Owns the points slice the submitted request borrows; the scheduler
-      /// borrows the payload until the future resolves.
-      std::unique_ptr<data::PointMatrix> scratch;
-      std::future<Result<SearchResult>> future;
-    };
-    auto submit = [&](size_t index) -> Outstanding {
-      Outstanding slot;
-      slot.first_query = index * chunk_size;
-      const size_t count = std::min(chunk_size, total - slot.first_query);
-      slot.scratch = std::make_unique<data::PointMatrix>();
-      const SearchRequest chunk_request =
-          SliceRequest(request, slot.first_query, count, slot.scratch.get());
-      slot.future = scheduler_->SubmitAsync(chunk_request);
-      return slot;
-    };
-    Outstanding current = submit(0);
-    for (size_t index = 0; index < num_chunks; ++index) {
-      Outstanding next;
-      if (index + 1 < num_chunks) next = submit(index + 1);
-      Result<SearchResult> chunk = current.future.get();
-      // Any early return must first drain the look-ahead submission — its
-      // payload borrows `next.scratch` / the caller's request until the
-      // future resolves.
-      Status status =
-          chunk.ok() ? deliver(index, current.first_query, std::move(chunk))
-                     : chunk.status();
-      if (!status.ok()) {
-        if (next.future.valid()) next.future.wait();
-        return status;
-      }
-      current = std::move(next);
+    // Serving path: the served-stream driver, with every step run here on
+    // the calling thread. Chunk k+1 queues (and may coalesce with chunk k
+    // or with other callers' submissions) while chunk k is answered.
+    auto steps = std::make_shared<StepQueue>();
+    auto stream = std::make_shared<ServedStream>(
+        this, request, chunk_size,
+        on_chunk ? SearchChunkCallback(std::cref(on_chunk))
+                 : SearchChunkCallback(),
+        [steps](std::function<void()> step) { steps->Push(std::move(step)); },
+        nullptr);
+    std::future<Result<SearchResult>> future = stream->Start();
+    while (future.wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready) {
+      steps->RunOne();
     }
-    aggregate.cumulative.overlap_seconds = AddOverlapSeconds(0);
-    return aggregate;
+    return future.get();
   }
+
+  const size_t total = request.num_queries();
+  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
+  SearchResult aggregate;
+  aggregate.queries.reserve(total);
 
   if (!options.pipeline || num_chunks <= 1) {
     // Sequential path: prepare and execute each chunk back-to-back.
@@ -639,7 +864,8 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
       Result<SearchResult> chunk = searcher_->Search(chunk_request);
       // Cancellation on first error: remaining chunks are never submitted.
       if (!chunk.ok()) return chunk.status();
-      GENIE_RETURN_NOT_OK(deliver(index, done, std::move(chunk)));
+      GENIE_RETURN_NOT_OK(
+          DeliverChunk(on_chunk, index, done, std::move(*chunk), &aggregate));
     }
     aggregate.cumulative.overlap_seconds = AddOverlapSeconds(0);
     return aggregate;
@@ -717,7 +943,8 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
     // returning destroys `current`, which joins the look-ahead thread and
     // discards the staged chunk — the drain.
     if (!chunk.ok()) return chunk.status();
-    GENIE_RETURN_NOT_OK(deliver(index, first_query, std::move(chunk)));
+    GENIE_RETURN_NOT_OK(DeliverChunk(on_chunk, index, first_query,
+                                     std::move(*chunk), &aggregate));
   }
   aggregate.profile.overlap_seconds = overlap_s;
   aggregate.cumulative.overlap_seconds = AddOverlapSeconds(overlap_s);
@@ -727,21 +954,34 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
 std::future<Result<SearchResult>> Engine::SearchAsync(
     SearchRequest request, SearchStreamOptions options,
     SearchChunkCallback on_chunk) {
-  {
-    std::lock_guard<std::mutex> lock(async_->mu);
-    ++async_->inflight;
+  if (scheduler_ != nullptr) {
+    // Serving path: this thread admits the first chunks, and scheduler
+    // completions drive the rest as short pool tasks, one per delivery.
+    // No pool thread ever waits for an answer.
+    const Status invalid = ValidateRequest(request);
+    if (!invalid.ok()) {
+      std::promise<Result<SearchResult>> rejected;
+      rejected.set_value(invalid);
+      return rejected.get_future();
+    }
+    async_->Open();
+    auto stream = std::make_shared<ServedStream>(
+        this, request, StreamChunkSize(request, options), std::move(on_chunk),
+        [](std::function<void()> step) {
+          DefaultThreadPool()->Submit(std::move(step));
+        },
+        async_);
+    return stream->Start();
   }
-  // Decrements on scope exit — normal return or unwind — so a throwing
+
+  async_->Open();
+  // Closes on scope exit — normal return or unwind — so a throwing
   // callback cannot leave inflight stuck and hang the destructor. After it
   // fires the destructor may proceed; the tracker itself is co-owned, and
   // nothing below touches the engine past that point.
   struct InflightGuard {
     std::shared_ptr<AsyncTracker> tracker;
-    ~InflightGuard() {
-      std::lock_guard<std::mutex> lock(tracker->mu);
-      --tracker->inflight;
-      tracker->cv.notify_all();
-    }
+    ~InflightGuard() { tracker->Close(); }
   };
   auto task = std::make_shared<std::packaged_task<Result<SearchResult>()>>(
       [this, tracker = async_, request = std::move(request), options,

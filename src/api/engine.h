@@ -135,7 +135,11 @@ class EngineConfig {
   /// round-robin with ResourceExhausted backpressure. Off (the default)
   /// keeps the legacy per-call path bit-for-bit; on, the answers are still
   /// identical — only latency, throughput and the SearchProfile serving
-  /// fields change.
+  /// fields change. On, SearchAsync admits from the calling thread and
+  /// holds no thread while its chunks wait: each delivery, callback
+  /// included, runs as a short task on the process-wide thread pool, never
+  /// on the scheduler's dispatcher thread. SearchStream still runs its
+  /// callbacks on its calling thread.
   EngineConfig& Serving(ServingOptions options);
 
   // --- Getters. ------------------------------------------------------------
@@ -293,17 +297,28 @@ class Engine {
   /// remaining chunks and drains (discards) the staged chunk. On success
   /// the returned SearchResult concatenates all chunks, identical to one
   /// blocking Search of the whole request — pipelined or not; its
-  /// `profile` sums the chunk deltas.
+  /// `profile` sums the chunk deltas. `on_chunk` runs on the calling
+  /// thread, with serving on or off.
   Result<SearchResult> SearchStream(const SearchRequest& request,
                                     const SearchStreamOptions& options = {},
                                     const SearchChunkCallback& on_chunk = {});
 
-  /// SearchStream running on the process-wide thread pool. The request's
-  /// payload spans must stay alive until the future resolves. Concurrent
-  /// async streams on one engine interleave chunk-by-chunk; each stream's
-  /// chunks are still delivered in its own input order. The destructor
-  /// blocks until every outstanding async search has finished, so the
-  /// engine cannot be freed out from under a running stream.
+  /// SearchStream without waiting for it. Without serving, the stream runs
+  /// as one task on the process-wide thread pool, and `on_chunk` runs on
+  /// that pool thread. Under EngineConfig::Serving, this call admits the
+  /// first two chunks itself and returns; no thread waits for an answer
+  /// after that. Each answered chunk is delivered as one short task on the
+  /// process-wide thread pool (never on the scheduler's dispatcher and
+  /// never inside this call, even on a cache hit): `on_chunk` runs, and
+  /// the chunk two places ahead is admitted. Either way the first error
+  /// — from the backend, a non-OK callback return or a callback exception
+  /// — stops the stream, and a callback exception is rethrown by
+  /// future.get(). The request's payload spans must stay alive until the
+  /// future resolves. Concurrent async streams on one engine interleave
+  /// chunk-by-chunk; each stream's chunks are still delivered in its own
+  /// input order, one at a time. The destructor blocks until every
+  /// SearchAsync future has resolved, so the engine cannot be freed out
+  /// from under a running stream.
   std::future<Result<SearchResult>> SearchAsync(
       SearchRequest request, SearchStreamOptions options = {},
       SearchChunkCallback on_chunk = {});
@@ -351,6 +366,7 @@ class Engine {
 
  private:
   struct AsyncTracker;
+  class ServedStream;
 
   Engine(EngineConfig config, std::unique_ptr<Searcher> searcher);
 
@@ -358,8 +374,13 @@ class Engine {
   /// dataset-binding requirement).
   static Status ValidateCommonKnobs(const EngineConfig& config);
 
-  /// Shared request validation of Search / SearchStream.
+  /// Shared request validation of Search / SearchStream / SearchAsync.
   Status ValidateRequest(const SearchRequest& request) const;
+
+  /// Queries per stream chunk: options.chunk_size, else the searcher's
+  /// memory derivation, else the live plan's chunk size, else 1024.
+  size_t StreamChunkSize(const SearchRequest& request,
+                         const SearchStreamOptions& options) const;
 
   /// Request validation of Insert (modality match, non-empty batch,
   /// payload shape).
@@ -377,8 +398,9 @@ class Engine {
   /// Declared after searcher_ so it is destroyed first — its dispatcher
   /// thread may be mid-Search on the searcher.
   std::unique_ptr<serve::RequestScheduler> scheduler_;
-  /// Counts in-flight SearchAsync tasks; shared with the tasks themselves
-  /// so the destructor can wait for them without lifetime games.
+  /// Counts SearchAsync calls whose future has not resolved yet; shared
+  /// with the streams themselves so the destructor can wait for them
+  /// without lifetime games.
   std::shared_ptr<AsyncTracker> async_;
   /// Engine-lifetime pipelined-overlap seconds (see
   /// SearchProfile::overlap_seconds).

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "api/profile.h"
-#include "core/batch_scheduler.h"
+#include "core/batch_assembler.h"
 #include "index/delta/delta_store.h"
 #include "lsh/e2lsh.h"
 #include "lsh/lsh_searcher.h"
@@ -979,8 +979,9 @@ class CompiledAdapter : public Adapter {
     const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
         backend_->index()->num_objects(), backend_->options(), max_count);
     const EngineBackend::BatchBudget budget = backend_->batch_budget();
-    return DeriveLargeBatchSize(budget.capacity_bytes, budget.allocated_bytes,
-                                per_query, memory_fraction);
+    return BatchAssembler::DeriveFromMemory(budget.capacity_bytes,
+                                            budget.allocated_bytes, per_query,
+                                            memory_fraction);
   }
 
   std::vector<Keyword> Keywords(const InsertRequest& request,

@@ -325,7 +325,7 @@ struct SearchStreamOptions {
   /// Queries submitted to the backend per chunk (the paper's Fig. 11 runs
   /// 65536 queries as 64 chunks of 1024). 0 = derive from the free device
   /// memory where the modality allows it (compiled queries, via
-  /// DeriveLargeBatchSize — oversubscription-safe), else 1024.
+  /// BatchAssembler::DeriveFromMemory — oversubscription-safe), else 1024.
   uint32_t chunk_size = 1024;
   /// When chunk_size is 0: fraction of the free device capacity the
   /// per-chunk working memory may occupy. Working memory is only resident

@@ -20,24 +20,6 @@ uint32_t BatchAssembler::DeriveFromMemory(uint64_t capacity_bytes,
                            1u << 20));
 }
 
-uint32_t BatchAssembler::BatchSizeFor(const EngineBackend& backend,
-                                      std::span<const Query> queries,
-                                      double memory_fraction) {
-  // The plan's chunk size already balances part residency against per-query
-  // working memory on the tier the backend actually runs — prefer it over
-  // re-deriving from raw free memory, which knows nothing about residency.
-  const plan::ExecutionPlan plan = backend.execution_plan();
-  if (plan.planned && plan.chunk_size > 0) return plan.chunk_size;
-  const uint32_t max_count = backend.options().max_count > 0
-                                 ? backend.options().max_count
-                                 : MatchEngine::DeriveMaxCount(queries);
-  const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
-      backend.index()->num_objects(), backend.options(), max_count);
-  const EngineBackend::BatchBudget budget = backend.batch_budget();
-  return DeriveFromMemory(budget.capacity_bytes, budget.allocated_bytes,
-                          per_query, memory_fraction);
-}
-
 uint32_t BatchAssembler::ResolveTargetBatch(uint32_t configured,
                                             uint32_t planned,
                                             uint32_t fallback) {

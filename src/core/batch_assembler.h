@@ -1,21 +1,16 @@
 #pragma once
 
 /// \file batch_assembler.h
-/// One home for batch-formation policy. Three consumers need "how many
-/// queries per device batch": the legacy ExecuteLargeBatch path, the
-/// compiled searcher's stream-chunk derivation, and the serving layer's
-/// RequestScheduler (super-batch target). They all resolve it here, so the
-/// plan-informed sizing and the memory-budget fallback cannot drift apart.
-/// Preference order: an explicit caller knob wins, then the live
-/// ExecutionPlan's chunk size (the planner already balanced part residency
-/// against per-query working memory), then the memory derivation, then a
-/// fixed default.
+/// One home for batch-formation policy. Two consumers need "how many
+/// queries per device batch": the compiled searcher's stream-chunk
+/// derivation and the serving layer's RequestScheduler (super-batch
+/// target). They both resolve it here, so the plan-informed sizing and the
+/// memory-budget fallback cannot drift apart. Preference order: an
+/// explicit caller knob wins, then the live ExecutionPlan's chunk size
+/// (the planner already balanced part residency against per-query working
+/// memory), then the memory derivation, then a fixed default.
 
 #include <cstdint>
-#include <span>
-
-#include "core/engine_backend.h"
-#include "core/query.h"
 
 namespace genie {
 
@@ -31,13 +26,6 @@ class BatchAssembler {
                                    uint64_t allocated_bytes,
                                    uint64_t per_query_bytes,
                                    double memory_fraction);
-
-  /// Batch size for executing `queries` on `backend`: prefers the live
-  /// ExecutionPlan's chunk size and falls back to the memory derivation
-  /// when no plan is live (a batch-time escalation replaced the plan).
-  static uint32_t BatchSizeFor(const EngineBackend& backend,
-                               std::span<const Query> queries,
-                               double memory_fraction);
 
   /// Knob resolution used by the serving scheduler: an explicitly
   /// `configured` size wins, then the plan's `planned` chunk size, then

@@ -266,7 +266,9 @@ Status DeserializeDelta(serialize::Reader* reader, DeltaStore* store) {
   uint32_t num_segments = 0;
   GENIE_RETURN_NOT_OK(reader->U32(&num_segments));
   std::vector<std::shared_ptr<const DeltaSegment>> sealed;
-  sealed.reserve(num_segments);
+  // Each segment holds at least three u64 vector counts, so a forged count
+  // cannot reserve past what the remaining bytes could describe.
+  sealed.reserve(std::min<size_t>(num_segments, reader->remaining() / 24));
   for (uint32_t s = 0; s < num_segments; ++s) {
     DeltaSegment segment;
     GENIE_RETURN_NOT_OK(reader->Vec(&segment.ids));

@@ -61,8 +61,8 @@ RequestScheduler::~RequestScheduler() {
   for (auto& sub : orphaned) {
     const Status aborted =
         Status::Internal("serving scheduler shut down with request pending");
-    for (auto& follower : sub->followers) follower.set_value(aborted);
-    sub->promise.set_value(aborted);
+    for (auto& follower : sub->followers) follower(aborted);
+    sub->done(aborted);
   }
 }
 
@@ -77,19 +77,26 @@ Result<SearchResult> RequestScheduler::Submit(const SearchRequest& request) {
 
 std::future<Result<SearchResult>> RequestScheduler::SubmitAsync(
     const SearchRequest& request) {
+  auto promise = std::make_shared<std::promise<Result<SearchResult>>>();
+  std::future<Result<SearchResult>> future = promise->get_future();
+  SubmitWith(request, [promise](Result<SearchResult> result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
+}
+
+void RequestScheduler::SubmitWith(const SearchRequest& request,
+                                  Completion done) {
   // Fingerprinting walks the whole payload — keep it outside the lock.
   const uint64_t fingerprint = FingerprintRequest(request);
   const uint32_t num_queries = static_cast<uint32_t>(request.num_queries());
-  std::promise<Result<SearchResult>> promise;
-  std::future<Result<SearchResult>> future = promise.get_future();
 
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.submitted;
   if (stop_) {
     lock.unlock();
-    promise.set_value(
-        Status::Internal("serving scheduler is shutting down"));
-    return future;
+    done(Status::Internal("serving scheduler is shutting down"));
+    return;
   }
 
   // Short-circuit 1: hot-query cache, keyed on content fingerprint and the
@@ -102,8 +109,8 @@ std::future<Result<SearchResult>> RequestScheduler::SubmitAsync(
     result.queries = std::move(*cached);
     result.profile.cache_hits = num_queries;
     result.cumulative = result.profile;
-    promise.set_value(std::move(result));
-    return future;
+    done(std::move(result));
+    return;
   }
 
   // Short-circuit 2: attach to an identical submission that is still
@@ -115,8 +122,8 @@ std::future<Result<SearchResult>> RequestScheduler::SubmitAsync(
       auto pending = pending_.find(leader->second);
       if (pending != pending_.end()) {
         ++stats_.dedup_followers;
-        pending->second->followers.push_back(std::move(promise));
-        return future;
+        pending->second->followers.push_back(std::move(done));
+        return;
       }
       inflight_.erase(leader);  // stale entry: leader already dispatched
     }
@@ -127,8 +134,8 @@ std::future<Result<SearchResult>> RequestScheduler::SubmitAsync(
   if (!admitted.ok()) {
     ++stats_.rejected;
     lock.unlock();
-    promise.set_value(admitted);
-    return future;
+    done(admitted);
+    return;
   }
   ++stats_.cache_misses;
 
@@ -138,14 +145,13 @@ std::future<Result<SearchResult>> RequestScheduler::SubmitAsync(
   sub->request = request;
   sub->num_queries = num_queries;
   sub->enqueued = Clock::now();
-  sub->promise = std::move(promise);
+  sub->done = std::move(done);
   pending_.emplace(handle, std::move(sub));
   if (options_.dedup_inflight) inflight_[fingerprint] = handle;
   pending_queries_ += num_queries;
   // Notify before unlocking: once mu_ is released a concurrent destructor
   // may orphan this submission and destroy work_cv_.
   work_cv_.notify_all();
-  return future;
 }
 
 void RequestScheduler::DispatcherLoop() {
@@ -227,9 +233,8 @@ void RequestScheduler::ExecuteBatch(
 
   if (!executed.ok()) {
     for (auto& sub : batch) {
-      for (auto& follower : sub->followers)
-        follower.set_value(executed.status());
-      sub->promise.set_value(executed.status());
+      for (auto& follower : sub->followers) follower(executed.status());
+      sub->done(executed.status());
     }
     return;
   }
@@ -253,8 +258,8 @@ void RequestScheduler::ExecuteBatch(
     part.cumulative.queue_seconds = part.profile.queue_seconds;
     part.cumulative.coalesced_batch = part.profile.coalesced_batch;
     cache_.Insert(sub->fingerprint, generation, part.queries);
-    for (auto& follower : sub->followers) follower.set_value(part);
-    sub->promise.set_value(std::move(part));
+    for (auto& follower : sub->followers) follower(part);
+    sub->done(std::move(part));
   }
 }
 

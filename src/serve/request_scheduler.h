@@ -7,7 +7,7 @@
 /// into device-sized super-batches — dispatching when the plan-informed
 /// target batch fills or the oldest admission hits the max_queue_delay
 /// deadline, whichever comes first — executes them through the engine's
-/// Searcher, and demuxes per-submission results back to their futures.
+/// Searcher, and demuxes per-submission results back to their completions.
 ///
 /// Two short-circuits run at admission, before a submission ever queues:
 ///   - hot-query ResultCache hit (generation- and TTL-checked): the cached
@@ -25,6 +25,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -53,15 +54,24 @@ class RequestScheduler {
   RequestScheduler(const RequestScheduler&) = delete;
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
-  /// Admits one request and blocks until its answer is ready. The request's
-  /// payload spans are borrowed until return. Fails with ResourceExhausted
-  /// when the tenant's queue is at its bound.
-  Result<SearchResult> Submit(const SearchRequest& request);
+  /// Receives one submission's answer, or the status it failed with.
+  using Completion = std::function<void(Result<SearchResult>)>;
 
-  /// Non-blocking admission; the payload spans must stay alive until the
-  /// future resolves. Backpressure rejections resolve the future with
-  /// ResourceExhausted (admission itself never blocks).
+  /// The one admission path. Admits `request` and calls `done` exactly
+  /// once: inline, on the calling thread, for a cache hit, a backpressure
+  /// rejection (ResourceExhausted) or shutdown; otherwise on the dispatcher
+  /// thread once the request's super-batch has executed, with no scheduler
+  /// lock held. Admission itself never blocks. `done` must not throw, and
+  /// it delays the next super-batch for as long as it runs. The request's
+  /// payload spans are borrowed until `done` is called.
+  void SubmitWith(const SearchRequest& request, Completion done);
+
+  /// SubmitWith completing a promise; the payload spans must stay alive
+  /// until the future resolves.
   std::future<Result<SearchResult>> SubmitAsync(const SearchRequest& request);
+
+  /// SubmitAsync(request).get(): blocks until the answer is ready.
+  Result<SearchResult> Submit(const SearchRequest& request);
 
   ServingStats stats() const;
   ResultCache::Stats cache_stats() const { return cache_.stats(); }
@@ -73,19 +83,19 @@ class RequestScheduler {
     uint64_t handle = 0;
     uint64_t fingerprint = 0;
     /// Shallow copy of the caller's request: payload spans stay borrowed
-    /// from the caller, which Submit / SubmitAsync's contract keeps alive.
+    /// from the caller, which SubmitWith's contract keeps alive.
     SearchRequest request;
     uint32_t num_queries = 0;
     Clock::time_point enqueued;
-    std::promise<Result<SearchResult>> promise;
+    Completion done;
     /// Dedup followers awaiting this leader's answer.
-    std::vector<std::promise<Result<SearchResult>>> followers;
+    std::vector<Completion> followers;
   };
 
  private:
   void DispatcherLoop();
-  /// Executes one super-batch (no scheduler lock held) and fulfills its
-  /// submissions' promises.
+  /// Executes one super-batch (no scheduler lock held) and calls its
+  /// submissions' completions.
   void ExecuteBatch(std::vector<std::unique_ptr<Submission>> batch);
   uint32_t TargetBatch() const;
 

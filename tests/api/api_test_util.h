@@ -1,14 +1,18 @@
 #pragma once
 
 /// Shared helpers for facade-level (api/) tests: the top-k answer-equality
-/// contract and the GENIE_TEST_NUM_DEVICES-aware device sweep.
+/// contract, the GENIE_TEST_NUM_DEVICES-aware device sweep, and a latch
+/// for parking threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <map>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -99,6 +103,41 @@ inline void ExpectSameAnswers(const SearchResult& got,
           << "query " << q << " id " << id << " " << label;
     }
   }
+}
+
+/// A gate that test threads park on until Release(). The destructor
+/// releases it too, so a failed assertion cannot leave a thread parked:
+/// declare it after every engine whose destructor waits for those threads.
+class Latch {
+ public:
+  ~Latch() { Release(); }
+
+  void Release() {
+    if (!released_) {
+      released_ = true;
+      open_.set_value();
+    }
+  }
+
+  /// Copyable handle for the parked threads.
+  std::shared_future<void> gate() const { return gate_; }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  bool released_ = false;
+};
+
+/// Polls `done` until it holds or `timeout` passes; returns its last value.
+inline bool WaitUntil(const std::function<bool()>& done,
+                      std::chrono::milliseconds timeout =
+                          std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 }  // namespace test

@@ -2,19 +2,24 @@
 /// on every modality, cache hits short-circuit the backend, mutation /
 /// compaction invalidates cached answers end-to-end, in-flight dedup
 /// collapses identical concurrent submissions, backpressure rejects a
-/// flooding tenant with ResourceExhausted, and concurrent callers coalesce
-/// into super-batches.
+/// flooding tenant with ResourceExhausted, concurrent callers coalesce
+/// into super-batches, and SearchAsync callbacks run off the dispatcher,
+/// so a slow or throwing one hurts only its own request.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "api/genie.h"
 #include "api_test_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/documents.h"
 #include "data/points.h"
 #include "data/relational_data.h"
@@ -385,6 +390,132 @@ TEST(ServingTest, SearchAsyncRoutesThroughScheduler) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectSameAnswers(*got, *want, "async serving");
   EXPECT_GE((*engine)->serving_stats().submitted, 2u);  // >= two chunks
+}
+
+// ---------------------------------------------------------------------------
+// SearchAsync callbacks run as pool tasks, never on the dispatcher.
+// ---------------------------------------------------------------------------
+
+/// Serving that executes every submission: no cache, no dedup.
+ServingOptions ExecuteEverything(double max_queue_delay_s) {
+  ServingOptions serving;
+  serving.max_queue_delay_s = max_queue_delay_s;
+  serving.cache_capacity = 0;
+  serving.dedup_inflight = false;
+  return serving;
+}
+
+TEST(ServingTest, SlowCallbackDoesNotStallOtherTenants) {
+  if (DefaultThreadPool()->num_threads() < 2) {
+    GTEST_SKIP() << "needs a second pool thread for the other tenant";
+  }
+  auto workload = test::MakeRandomWorkload(400, 40, 6, 2, 5, 313);
+  const EngineConfig config =
+      EngineConfig().Index(&workload.index).K(5).Device(
+          test::SharedTestDevice(4));
+  auto legacy = Engine::Create(config);
+  ASSERT_TRUE(legacy.ok());
+  EngineConfig serving_config = config;
+  auto engine =
+      Engine::Create(serving_config.Serving(ExecuteEverything(1e-4)));
+  ASSERT_TRUE(engine.ok());
+
+  test::Latch latch;  // destroyed before the engine, which waits for A
+  std::atomic<bool> a_blocked{false};
+  std::vector<Query> query_a{workload.queries[0]};
+  std::vector<Query> query_b{workload.queries[1]};
+  auto future_a = (*engine)->SearchAsync(
+      SearchRequest::Compiled(query_a).Tenant(1), {},
+      [gate = latch.gate(), &a_blocked](const SearchChunk&) {
+        a_blocked = true;
+        gate.wait();
+        return Status::OK();
+      });
+  ASSERT_TRUE(test::WaitUntil([&] { return a_blocked.load(); }));
+
+  auto future_b =
+      (*engine)->SearchAsync(SearchRequest::Compiled(query_b).Tenant(2));
+  ASSERT_EQ(future_b.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "tenant B waited for tenant A's callback";
+  EXPECT_NE(future_a.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto got_b = future_b.get();
+  ASSERT_TRUE(got_b.ok()) << got_b.status().ToString();
+  auto want_b = (*legacy)->Search(SearchRequest::Compiled(query_b));
+  ASSERT_TRUE(want_b.ok());
+  ExpectSameAnswers(*got_b, *want_b, "tenant B");
+
+  latch.Release();
+  auto got_a = future_a.get();
+  ASSERT_TRUE(got_a.ok()) << got_a.status().ToString();
+  auto want_a = (*legacy)->Search(SearchRequest::Compiled(query_a));
+  ASSERT_TRUE(want_a.ok());
+  ExpectSameAnswers(*got_a, *want_a, "tenant A");
+}
+
+TEST(ServingTest, ThrowingCallbackFailsOnlyItsOwnRequest) {
+  auto workload = test::MakeRandomWorkload(400, 40, 6, 2, 5, 314);
+  const EngineConfig config =
+      EngineConfig().Index(&workload.index).K(5).Device(
+          test::SharedTestDevice(4));
+  auto legacy = Engine::Create(config);
+  ASSERT_TRUE(legacy.ok());
+  EngineConfig serving_config = config;
+  // A 0.3 s window that never fills: both requests share one super-batch.
+  auto engine = Engine::Create(serving_config.Serving(ExecuteEverything(0.3)));
+  ASSERT_TRUE(engine.ok());
+
+  std::vector<Query> query_x{workload.queries[0]};
+  std::vector<Query> query_y{workload.queries[1]};
+  auto future_x = (*engine)->SearchAsync(
+      SearchRequest::Compiled(query_x).Tenant(1), {},
+      [](const SearchChunk&) -> Status {
+        throw std::runtime_error("consumer crashed");
+      });
+  auto future_y =
+      (*engine)->SearchAsync(SearchRequest::Compiled(query_y).Tenant(2));
+
+  EXPECT_THROW((void)future_x.get(), std::runtime_error);
+  auto got_y = future_y.get();
+  ASSERT_TRUE(got_y.ok()) << got_y.status().ToString();
+  EXPECT_EQ(got_y->profile.coalesced_batch, 2u);
+  auto want_y = (*legacy)->Search(SearchRequest::Compiled(query_y));
+  ASSERT_TRUE(want_y.ok());
+  ExpectSameAnswers(*got_y, *want_y, "coalesced neighbour");
+  engine->reset();  // ~Engine returns: the throwing stream has resolved
+}
+
+TEST(ServingTest, AsyncStreamCallbackErrorStopsAndDrains) {
+  auto workload = test::MakeRandomWorkload(400, 40, 5, 20, 4, 315);
+  auto engine = Engine::Create(
+      EngineConfig().Index(&workload.index).K(3).Device(
+          test::SharedTestDevice(4)).Serving(FastServing()));
+  ASSERT_TRUE(engine.ok());
+
+  SearchStreamOptions options;
+  options.chunk_size = 4;  // 20 queries -> 5 chunks
+  std::vector<size_t> delivered;
+  auto future = (*engine)->SearchAsync(
+      SearchRequest::Compiled(workload.queries), options,
+      [&delivered](const SearchChunk& chunk) {
+        delivered.push_back(chunk.index);
+        if (chunk.index == 1) return Status::Internal("consumer gave up");
+        return Status::OK();
+      });
+  auto result = future.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(result.status().message(), "consumer gave up");
+  EXPECT_EQ(delivered, (std::vector<size_t>{0, 1}));
+
+  // Chunk 2 was admitted when chunk 0 was delivered; nothing after the
+  // failure. Every admitted chunk had completed before the future resolved.
+  const ServingStats stats = (*engine)->serving_stats();
+  EXPECT_LE(stats.submitted, 3u);
+  EXPECT_EQ(stats.coalesced_requests + stats.cache_hits +
+                stats.dedup_followers,
+            stats.submitted);
 }
 
 }  // namespace

@@ -1,17 +1,24 @@
 /// Streaming pipeline of the facade: SearchStream / SearchAsync chunked
 /// execution through EngineBackend — aggregate-equals-blocking, in-order
 /// per-chunk delivery with per-chunk profile deltas, cancellation on first
-/// error, concurrent async streams, and a mid-stream single-load ->
-/// multiple-loading escalation.
+/// error, concurrent async streams, a mid-stream single-load ->
+/// multiple-loading escalation, and chunking from the device memory budget
+/// and through the multiple-loading fallback. Under serving, SearchAsync
+/// admits without taking a pool thread.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "api/genie.h"
+#include "api_test_util.h"
+#include "common/thread_pool.h"
 #include "data/points.h"
 #include "test_util.h"
 
@@ -123,8 +130,9 @@ TEST(SearchStreamTest, RejectsEmptyBatchAndWrongPayload) {
 
 TEST(SearchStreamTest, DerivesChunkSizeFromDeviceMemory) {
   // chunk_size = 0: the compiled searcher sizes chunks from the free device
-  // memory (oversubscription-safe DeriveLargeBatchSize); a small device
-  // forces several chunks, and answers still match a big-device reference.
+  // memory (oversubscription-safe BatchAssembler::DeriveFromMemory); a
+  // small device forces several chunks, and answers still match a
+  // big-device reference.
   auto workload = test::MakeRandomWorkload(2000, 40, 6, 24, 4, 32);
   const uint32_t max_count = MatchEngine::DeriveMaxCount(workload.queries);
   auto big_engine = Engine::Create(EngineConfig()
@@ -275,6 +283,122 @@ TEST(SearchStreamTest, ProfileDeltaAcrossMidStreamEscalation) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Chunked execution of large query sets (the paper's Fig. 11 strategy)
+// over a compiled engine.
+// ---------------------------------------------------------------------------
+
+TEST(BatchSchedulerTest, ChunkedEqualsSingleBatch) {
+  auto workload = test::MakeRandomWorkload(500, 60, 8, 37, 5, 81);
+  auto engine = Engine::Create(
+      EngineConfig()
+          .Index(&workload.index)
+          .K(10)
+          .MaxCount(MatchEngine::DeriveMaxCount(workload.queries))
+          .Device(test::SharedTestDevice(4)));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  auto single = (*engine)->Search(SearchRequest::Compiled(workload.queries));
+  ASSERT_TRUE(single.ok());
+  SearchStreamOptions options;
+  options.chunk_size = 8;  // 37 queries -> 5 uneven chunks
+  size_t chunks = 0;
+  auto chunked = (*engine)->SearchStream(
+      SearchRequest::Compiled(workload.queries), options,
+      [&](const SearchChunk&) {
+        ++chunks;
+        return Status::OK();
+      });
+  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+  EXPECT_EQ(chunks, 5u);
+  ASSERT_EQ(chunked->queries.size(), single->queries.size());
+  for (size_t q = 0; q < single->queries.size(); ++q) {
+    EXPECT_EQ(HitCounts(chunked->queries[q]), HitCounts(single->queries[q]))
+        << "query " << q;
+  }
+}
+
+TEST(BatchSchedulerTest, EmptyQuerySetRejected) {
+  // Streams enforce the same non-empty batch contract as MatchEngine /
+  // PartitionedEngine / EngineBackend.
+  auto workload = test::MakeRandomWorkload(50, 10, 3, 1, 2, 82);
+  auto engine = Engine::Create(
+      EngineConfig().Index(&workload.index).K(3).Device(
+          test::SharedTestDevice(4)));
+  ASSERT_TRUE(engine.ok());
+  auto results = (*engine)->SearchStream(SearchRequest::Compiled({}));
+  ASSERT_FALSE(results.ok());
+  EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BatchSchedulerTest, AutoBatchSizeFromMemoryBudget) {
+  // A tiny device forces small auto-derived chunks; results must still
+  // match a reference run on a large device.
+  auto workload = test::MakeRandomWorkload(2000, 40, 6, 24, 4, 83);
+  const EngineConfig reference_config =
+      EngineConfig()
+          .Index(&workload.index)
+          .K(5)
+          .MaxCount(MatchEngine::DeriveMaxCount(workload.queries))
+          .Device(test::SharedTestDevice(4));
+  auto reference_engine = Engine::Create(reference_config);
+  ASSERT_TRUE(reference_engine.ok());
+  auto reference =
+      (*reference_engine)->Search(SearchRequest::Compiled(workload.queries));
+  ASSERT_TRUE(reference.ok());
+
+  sim::Device::Options small;
+  small.num_workers = 2;
+  small.memory_capacity_bytes = 4 << 20;  // 4 MiB
+  sim::Device small_device(small);
+  EngineConfig config = reference_config;
+  auto engine = Engine::Create(config.Device(&small_device));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  SearchStreamOptions options;
+  options.chunk_size = 0;  // derive from memory
+  options.memory_fraction = 0.5;
+  auto results = (*engine)->SearchStream(
+      SearchRequest::Compiled(workload.queries), options);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->queries.size(), reference->queries.size());
+  for (size_t q = 0; q < results->queries.size(); ++q) {
+    EXPECT_EQ(HitCounts(results->queries[q]),
+              HitCounts(reference->queries[q]));
+  }
+}
+
+TEST(BatchSchedulerTest, ChunkedThroughMultiLoadFallback) {
+  // Chunked execution composes with the multiple-loading fallback: the
+  // backend shards the index, and every chunk still answers correctly.
+  auto workload = test::MakeRandomWorkload(4000, 30, 8, 12, 4, 84);
+  sim::Device::Options small;
+  small.num_workers = 4;
+  small.memory_capacity_bytes = 120 << 10;  // index does not fit
+  sim::Device device(small);
+  auto engine = Engine::Create(
+      EngineConfig()
+          .Index(&workload.index)
+          .K(5)
+          .MaxCount(MatchEngine::DeriveMaxCount(workload.queries))
+          .Device(&device));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  SearchStreamOptions options;
+  options.chunk_size = 5;
+  auto results = (*engine)->SearchStream(
+      SearchRequest::Compiled(workload.queries), options);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_TRUE(results->profile.used_multi_load);
+  ASSERT_EQ(results->queries.size(), workload.queries.size());
+  for (size_t q = 0; q < results->queries.size(); ++q) {
+    const auto counts =
+        test::BruteForceCounts(workload.index, workload.queries[q]);
+    EXPECT_EQ(HitCounts(results->queries[q]),
+              test::TopKCountMultiset(counts, 5))
+        << "query " << q;
+  }
+}
+
 TEST(SearchAsyncTest, DeliversSameResultsAsBlockingSearch) {
   auto workload = test::MakeRandomWorkload(500, 50, 6, 30, 4, 29);
   auto engine = Engine::Create(
@@ -322,6 +446,97 @@ TEST(SearchAsyncTest, EngineDestructionWaitsForOutstandingStreams) {
     EXPECT_EQ(HitCounts(streamed->queries[q]),
               test::TopKCountMultiset(counts, 5));
   }
+}
+
+TEST(SearchAsyncTest, EngineDestructionWaitsForOutstandingServedStreams) {
+  // The serving variant: the stream's chunks are scheduler submissions,
+  // and the destructor returns only after the future has resolved.
+  auto workload = test::MakeRandomWorkload(500, 50, 6, 20, 4, 31);
+  std::future<Result<SearchResult>> future;
+  {
+    auto engine = Engine::Create(EngineConfig()
+                                     .Index(&workload.index)
+                                     .K(5)
+                                     .Device(test::SharedTestDevice(4))
+                                     .Serving(ServingOptions{}));
+    ASSERT_TRUE(engine.ok());
+    SearchStreamOptions options;
+    options.chunk_size = 4;
+    future = (*engine)->SearchAsync(SearchRequest::Compiled(workload.queries),
+                                    options);
+  }  // ~Engine
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto streamed = future.get();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ASSERT_EQ(streamed->queries.size(), workload.queries.size());
+  for (size_t q = 0; q < workload.queries.size(); ++q) {
+    const auto counts =
+        test::BruteForceCounts(workload.index, workload.queries[q]);
+    EXPECT_EQ(HitCounts(streamed->queries[q]),
+              test::TopKCountMultiset(counts, 5));
+  }
+}
+
+TEST(SearchAsyncTest, ServedRequestsAreAdmittedWithoutAPoolThread) {
+  // Every pool worker is parked, yet served SearchAsync calls still reach
+  // the scheduler: admission runs on the calling thread, and only the
+  // deliveries need a pool thread later.
+  auto workload = test::MakeRandomWorkload(500, 50, 6, 19, 4, 34);
+  const std::span<const Query> queries(workload.queries);
+  const EngineConfig config =
+      EngineConfig().Index(&workload.index).K(5).Device(
+          test::SharedTestDevice(4));
+  auto legacy = Engine::Create(config);
+  ASSERT_TRUE(legacy.ok());
+  EngineConfig serving_config = config;
+  auto engine = Engine::Create(serving_config.Serving(ServingOptions{}));
+  ASSERT_TRUE(engine.ok());
+
+  ThreadPool* pool = DefaultThreadPool();
+  test::Latch latch;  // destroyed before the engines, which wait on the pool
+  std::atomic<size_t> parked{0};
+  for (size_t i = 0; i < pool->num_threads(); ++i) {
+    pool->Submit([gate = latch.gate(), &parked] {
+      ++parked;
+      gate.wait();
+    });
+  }
+  ASSERT_TRUE(test::WaitUntil([&] { return parked == pool->num_threads(); }));
+
+  constexpr size_t kSingles = 16;
+  std::vector<std::future<Result<SearchResult>>> singles;
+  for (size_t q = 0; q < kSingles; ++q) {
+    singles.push_back(
+        (*engine)->SearchAsync(SearchRequest::Compiled(queries.subspan(q, 1))));
+  }
+  SearchStreamOptions three_chunks;
+  three_chunks.chunk_size = 1;
+  auto stream = (*engine)->SearchAsync(
+      SearchRequest::Compiled(queries.subspan(kSingles, 3)), three_chunks);
+
+  // All singles plus the stream's first two chunks; the third waits for
+  // chunk 0's delivery, which needs a pool thread.
+  EXPECT_TRUE(test::WaitUntil(
+      [&] { return (*engine)->serving_stats().submitted >= kSingles + 2; }));
+  EXPECT_EQ((*engine)->serving_stats().submitted, kSingles + 2);
+  latch.Release();
+
+  for (size_t q = 0; q < kSingles; ++q) {
+    auto got = singles[q].get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want =
+        (*legacy)->Search(SearchRequest::Compiled(queries.subspan(q, 1)));
+    ASSERT_TRUE(want.ok());
+    test::ExpectSameAnswers(*got, *want, "single " + std::to_string(q));
+  }
+  auto got = stream.get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want =
+      (*legacy)->Search(SearchRequest::Compiled(queries.subspan(kSingles, 3)));
+  ASSERT_TRUE(want.ok());
+  test::ExpectSameAnswers(*got, *want, "stream");
+  EXPECT_EQ((*engine)->serving_stats().submitted, kSingles + 3);
 }
 
 TEST(SearchAsyncTest, ConcurrentStreamsStayInOrderPerStream) {

@@ -2,12 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <vector>
-
-#include "common/rng.h"
-#include "test_util.h"
-
 namespace genie {
 namespace {
 
@@ -41,72 +35,35 @@ TEST(BatchAssemblerTest, ResolveTargetBatchPreferenceOrder) {
   EXPECT_EQ(BatchAssembler::ResolveTargetBatch(0, 0, 1024), 1024u);
 }
 
-TEST(BatchAssemblerTest, BatchSizeForPrefersLivePlanChunkSize) {
-  auto workload = test::MakeRandomWorkload(500, 60, 8, 16, 5, 91);
-  MatchEngineOptions options;
-  options.k = 5;
-  options.max_count = MatchEngine::DeriveMaxCount(workload.queries);
-  options.device = test::SharedTestDevice(4);
-  auto backend = EngineBackend::Create(&workload.index, options);
-  ASSERT_TRUE(backend.ok());
+// ---------------------------------------------------------------------------
+// Memory-budget derivation edge cases (the unsigned-underflow regression).
+// ---------------------------------------------------------------------------
 
-  const plan::ExecutionPlan plan = (*backend)->execution_plan();
-  const uint32_t derived = BatchAssembler::BatchSizeFor(
-      **backend, std::span<const Query>(workload.queries), 0.5);
-  if (plan.planned && plan.chunk_size > 0) {
-    // The fixed DeriveLargeBatchSize bug: the plan's chunk size must win
-    // over the raw memory derivation.
-    EXPECT_EQ(derived, plan.chunk_size);
-  } else {
-    EXPECT_GE(derived, 1u);
-  }
+TEST(DeriveLargeBatchSizeTest, NormalBudget) {
+  // 1 MiB free, half budget, 1 KiB per query -> 512 queries per batch.
+  EXPECT_EQ(BatchAssembler::DeriveFromMemory(1 << 20, 0, 1 << 10, 0.5), 512u);
 }
 
-TEST(BatchAssemblerTest, BatchSizeForFallsBackToMemoryWithoutPlan) {
-  // A batch whose working memory does not fit beside the resident index
-  // escalates the backend to multiple loading at batch time, which leaves
-  // no live plan: batch sizing falls back to the memory derivation.
-  const uint32_t kNumObjects = 3000;
-  const uint32_t kVocab = 100;
-  auto workload = test::MakeRandomWorkload(kNumObjects, kVocab, 8, 0, 0, 92);
-  Rng rng(93);
-  std::vector<Query> big_batch;
-  for (uint32_t q = 0; q < 8; ++q) {
-    std::set<Keyword> keywords;
-    while (keywords.size() < 48) {
-      keywords.insert(static_cast<Keyword>(rng.UniformU64(kVocab)));
-    }
-    Query query;
-    for (Keyword kw : keywords) query.AddItem(kw);
-    big_batch.push_back(std::move(query));
-  }
+TEST(DeriveLargeBatchSizeTest, OversubscribedDeviceFallsBackToOne) {
+  // allocated > capacity must not underflow into a huge free-memory figure
+  // (the old code derived the 2^20 clamp limit here).
+  EXPECT_EQ(
+      BatchAssembler::DeriveFromMemory(1 << 20, (1 << 20) + 1, 1 << 10, 0.5),
+      1u);
+  EXPECT_EQ(BatchAssembler::DeriveFromMemory(0, 1, 64, 0.5), 1u);
+}
 
-  MatchEngineOptions options;
-  options.k = 5;
-  options.max_count = MatchEngine::DeriveMaxCount(big_batch);
-  const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
-      kNumObjects, options, options.max_count);
-  sim::Device::Options capacity;
-  capacity.num_workers = 4;
-  capacity.memory_capacity_bytes =
-      workload.index.postings_bytes() + 4 * per_query;
-  sim::Device device(capacity);
-  options.device = &device;
-  auto backend = EngineBackend::Create(&workload.index, options);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  ASSERT_TRUE((*backend)->execution_plan().planned);
-  ASSERT_FALSE((*backend)->multi_load());
+TEST(DeriveLargeBatchSizeTest, FullDeviceFallsBackToOne) {
+  EXPECT_EQ(BatchAssembler::DeriveFromMemory(1 << 20, 1 << 20, 1 << 10, 0.5),
+            1u);
+}
 
-  ASSERT_TRUE((*backend)->ExecuteBatch(big_batch).ok());
-  ASSERT_TRUE((*backend)->multi_load());
-  ASSERT_FALSE((*backend)->execution_plan().planned);
-  const uint32_t derived = BatchAssembler::BatchSizeFor(
-      **backend, std::span<const Query>(big_batch), 0.5);
-  const EngineBackend::BatchBudget budget = (*backend)->batch_budget();
-  EXPECT_EQ(derived,
-            BatchAssembler::DeriveFromMemory(budget.capacity_bytes,
-                                             budget.allocated_bytes,
-                                             per_query, 0.5));
+TEST(DeriveLargeBatchSizeTest, ClampsToUpperBound) {
+  EXPECT_EQ(BatchAssembler::DeriveFromMemory(1ULL << 40, 0, 1, 1.0), 1u << 20);
+}
+
+TEST(DeriveLargeBatchSizeTest, ZeroPerQueryBytesTreatedAsOneByte) {
+  EXPECT_EQ(BatchAssembler::DeriveFromMemory(1 << 20, 0, 0, 1.0), 1u << 20);
 }
 
 }  // namespace

@@ -266,6 +266,16 @@ TEST(DeltaStoreTest, DeserializeRejectsIdsOutsideTheIdSpace) {
   EXPECT_TRUE(restored.Tombstoned(9));
 }
 
+TEST(DeltaStoreTest, DeserializeRejectsASegmentCountPastTheBlob) {
+  // 2^32 - 1 segments in a 4-byte blob: the count must be checked against
+  // the bytes that remain before anything is reserved for it.
+  const std::string bytes("\xff\xff\xff\xff", 4);
+  DeltaStore scratch(0, 0);
+  serialize::Reader reader(bytes);
+  EXPECT_EQ(DeserializeDelta(&reader, &scratch).code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace delta
 }  // namespace genie
